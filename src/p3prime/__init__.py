@@ -39,6 +39,7 @@ from .series import (
     step_lambda,
     step_lambda_refined,
     step_mu,
+    taylor_at_root,
     xi_series,
 )
 from .bounds import BoundSet, IncrementReport, algorithm_increments, convergence_bounds

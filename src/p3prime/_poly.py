@@ -40,6 +40,12 @@ def pmul(a, b, cap=None):
     return out
 
 
+def pcoef(a, b, j):
+    """Coefficient of x**j in a*b; indices past the end of a or b count as zero."""
+    lo, hi = max(0, j - len(b) + 1), min(j, len(a) - 1)
+    return sum(a[i] * b[j - i] for i in range(lo, hi + 1))
+
+
 def pshift(a, k):
     """Multiply by x**k."""
     return [0] * k + list(a)

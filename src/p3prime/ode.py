@@ -23,7 +23,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq, least_squares
 
 from .equation import DomainError, EquationParams, RootAnchor, SignSwitch, rhs_scalar, third_derivative
-from .series import DtSeries, assemble_lambda, run_scheme, series_eval, series_eval_derivative
+from .series import DtSeries, assemble_lambda, series_eval, series_eval_derivative, taylor_at_root
 
 _EPS_SWITCH_REL = 1e-4  # |lam| < this * |t| triggers the crossing protocol
 # resume distance past the root: data at |dt| = eps cannot carry the cubic
@@ -141,8 +141,7 @@ def _fit_crossing(p, sgn, pts):
         if t0 == 0:
             return [1e6] * (2 * len(pts))
         a = RootAnchor(t0, SignSwitch(sgn), L)
-        lam3s, _ = run_scheme(a, p, _FIT_ORDER)
-        lam = assemble_lambda(a, lam3s, p)
+        lam = assemble_lambda(a, taylor_at_root(a, p, _FIT_ORDER), p)
         out = []
         for t, lv, ld in pts:
             out.append(series_eval(lam, t - t0) - lv)
@@ -152,6 +151,8 @@ def _fit_crossing(p, sgn, pts):
     res = least_squares(
         residuals, [t0_guess, lam3_guess], xtol=1e-15, ftol=1e-15, gtol=1e-15, method="lm"
     )
+    if not res.success:
+        raise IntegrationError(f"crossing fit near t={t_s} did not converge: {res.message}")
     return float(res.x[0]), float(res.x[1])
 
 
@@ -173,8 +174,7 @@ def _crossing_from_stop(p, inner, t_s, t_prev_cov) -> CrossingRecord:
             pts.append((t_w, lam_w, lamdot_w))
     t0_fit, lam3_fit = _fit_crossing(p, sgn, pts)
     a = RootAnchor(t0_fit, SignSwitch(sgn), lam3_fit)
-    lam3s, _ = run_scheme(a, p, _FIT_ORDER)
-    series = assemble_lambda(a, lam3s, p)
+    series = assemble_lambda(a, taylor_at_root(a, p, _FIT_ORDER), p)
     return CrossingRecord(t0_fit, sgn, lam3_fit, (0.0, 0.0), series)
 
 

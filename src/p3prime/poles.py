@@ -5,6 +5,11 @@ and chi_inf.  A root expansion of the swapped equation therefore maps to a
 simple-pole expansion of the original one with residue sgn*t0; the free
 parameter of a pole family is kept as the swapped-problem cubic coefficient
 lam3, with the regular part's slope d1 derived from it.
+
+``root_to_pole`` builds that swapped root series with the O(N^2)
+Painleve-test recurrence ``series.taylor_at_root``, which is faster and
+loses less to rounding than the integral-transform ``run_scheme``; the
+hand-transcribed ``pole_b5_reference`` stays the independent oracle.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 
 from . import _poly
 from .equation import DomainError, EquationParams, RootAnchor
-from .series import DtSeries, assemble_lambda, run_scheme
+from .series import DtSeries, assemble_lambda, taylor_at_root
 
 
 @dataclass(frozen=True)
@@ -76,7 +81,7 @@ def root_to_pole(a: RootAnchor, p: EquationParams, order: int) -> LaurentExpansi
     root expansion anchored at ``a`` (a.lam3 is the swapped-problem value)."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    lam3, _ = run_scheme(a, p.swapped(), max(order - 1, 0))
+    lam3 = taylor_at_root(a, p.swapped(), max(order - 1, 0))
     lam_root = assemble_lambda(a, lam3, p.swapped())
     le = series_reciprocal_times_t(lam_root)
     return LaurentExpansion(le.t0, le.residue, _poly.ptrim(le.trusted(), order), min(le.valid_order, order))

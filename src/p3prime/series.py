@@ -15,6 +15,8 @@ therefore gain four orders, which is the staggering used by ``run_scheme``.
 
 Series coefficients are IEEE doubles throughout; the closed-form degree-5
 reference ``lam6_reference`` provides the independent oracle for the scheme.
+``taylor_at_root`` computes the same cubic-factor series from the direct
+Painleve-test recurrence in O(N^2) operations, against O(N^3) for the scheme.
 """
 
 from __future__ import annotations
@@ -347,6 +349,49 @@ def run_scheme(a: RootAnchor, p: EquationParams, target_order: int) -> tuple[DtS
             lams.append(step_lambda(lams[-1], mus[i + 1], a, p))
         lam, mu = lams[4], mus[4]
     return lam.truncated(target_order), mu.truncated(target_order)
+
+
+def taylor_at_root(a: RootAnchor, p: EquationParams, target_order: int) -> DtSeries:
+    """Cubic-factor series valid to ``target_order`` from the Painleve-test
+    recurrence; the same series as ``run_scheme(a, p, target_order)[0]``.
+
+    Multiplying the equation by t^2*lam gives the polynomial form
+
+        t^2 (lam lam'' - lam'^2) + t lam lam' + chi_inf lam^3 - lam^4 - chi0 t lam + t^2 = 0.
+
+    With lam = sum_k c_k dt^k and t = t0 + dt, its dt^m coefficient is linear
+    in c_{m+1} with factor t0^2*sgn*(m+1)(m-2).  The factor vanishes at m = 2,
+    which is why lam3 = c_3 is free; for m >= 3 each c_{m+1} follows from the
+    lower ones.  The products lam^2, lam lam'' - lam'^2 and lam lam' are
+    cached once their coefficients are final, so order N costs O(N^2)
+    operations.  Only field arithmetic is used, so exact ``Fraction`` anchors
+    and parameters give the exact series (rounded to doubles by DtSeries).
+    """
+    if target_order < 0:
+        raise ValueError("target_order must be >= 0")
+    sg, t0, chi0, chi_inf = a.s, a.t0, p.chi0, p.chi_inf
+    lam = [0, sg, (sg - chi0) / (2 * t0), a.lam3]
+    d1 = [k * lam[k] for k in range(1, 4)]  # lam'
+    d2 = [k * (k - 1) * lam[k] for k in range(2, 4)]  # lam''
+    sq, pp, qq = [], [], []  # lam^2, lam lam'' - lam'^2, lam lam'
+    for m in range(target_order + 3):
+        # from m = 3 on, c_{m+1} is not appended yet: pp[m] lacks exactly
+        # its term factor*c_{m+1}, and every other product is final
+        sq.append(_poly.pcoef(lam, lam, m))
+        pp.append(_poly.pcoef(lam, d2, m) - _poly.pcoef(d1, d1, m))
+        qq.append(_poly.pcoef(lam, d1, m))
+        if m < 3:
+            continue
+        f = t0 * t0 * pp[m] + 2 * t0 * pp[m - 1] + pp[m - 2] + t0 * qq[m] + qq[m - 1]
+        f += chi_inf * _poly.pcoef(sq, lam, m) - _poly.pcoef(sq, sq, m)  # lam^3, lam^4
+        f -= chi0 * (t0 * lam[m] + lam[m - 1])
+        factor = sg * (m + 1) * (m - 2)
+        c = -f / (t0 * t0 * factor)
+        pp[m] += factor * c
+        lam.append(c)
+        d1.append((m + 1) * c)
+        d2.append((m + 1) * m * c)
+    return DtSeries(a, lam[3:], target_order)
 
 
 def assemble_lambda(a: RootAnchor, lam3: DtSeries, p: EquationParams) -> DtSeries:

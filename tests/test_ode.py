@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
-from p3prime import DomainError, EquationParams, RootAnchor, SignSwitch, mu_from_lambda
+from p3prime import DomainError, EquationParams, RootAnchor, SignSwitch, mu_from_lambda, ode
 from p3prime.ode import (
+    IntegrationError,
     compare_series,
     find_roots,
     integrate,
@@ -106,6 +108,17 @@ def test_crossing_consistency_of_local_coefficients(appendix_solution, appendix_
         c1, c2 = coeffs[0], coeffs[1] / 2
         assert abs(c1 - r.sgn) <= 1e-6
         assert abs(c2 - (r.sgn - P.chi0) / (2 * r.t0)) <= 1e-6
+
+
+def test_failed_crossing_fit_raises(monkeypatch):
+    def failed_fit(fun, x0, **kwargs):
+        return OptimizeResult(x=np.asarray(x0, dtype=float), success=False, status=0, nfev=1,
+                              message="maximum number of function evaluations exceeded")
+
+    monkeypatch.setattr(ode, "least_squares", failed_fit)
+    # the worked-example data crosses the root near 0.511 going left
+    with pytest.raises(IntegrationError, match="crossing fit near t=0.51.*maximum number"):
+        integrate(P, 0.833651, 0.288298, 0.374531, (0.4, 0.9))
 
 
 def test_find_roots_empty_on_rootless_window():

@@ -30,6 +30,7 @@ from p3prime import (
     step_lambda,
     step_lambda_refined,
     step_mu,
+    taylor_at_root,
     xi_series,
 )
 from p3prime import _poly
@@ -409,3 +410,47 @@ def test_run_scheme_second_coefficient_identity():
             2 + 3 * p.chi_inf * (p.chi0 + sg) / t0 + (5 * p.chi0 + 7 * sg) * L + 6 * t0**2 * L**2
         ) / (20 * t0**2)
         assert lam3.coeffs[2] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+# (t0, sgn, lam3, chi0, chi_inf) of a draw from criterion 1's ranges on which
+# run_scheme's order-5 prefix misses lam6_reference by more than 1e-12
+ROUNDING_ANCHOR = (-0.35691726759001013, -1, -0.6206467889521541, 2.6891716760949196, 2.833601347082321)
+
+
+def _coeff_error(got, ref):
+    return max(abs(g - r) / max(1.0, abs(r)) for g, r in zip(got, ref, strict=True))
+
+
+def test_taylor_at_root_matches_closed_form_reference():
+    t0, sgn, lam3, chi0, chi_inf = ROUNDING_ANCHOR
+    cases = [*random_cases(), (RootAnchor(t0, SignSwitch(sgn), lam3), EquationParams(chi0, chi_inf))]
+    for a, p in cases:
+        got = taylor_at_root(a, p, 5)
+        assert got.valid_order == 5
+        assert _coeff_error(got.coeffs, lam6_reference(a, p).coeffs) <= 1e-12
+
+
+def test_taylor_at_root_float_run_tracks_exact_run():
+    # the same recurrence on Fractions is exact for the given float anchor.
+    # The float run's worst scaled error at order 40 measured 3.1e-7, and
+    # 1.0e-7 after a change in summation order (run_scheme: 5.4e-3); the
+    # tolerance was fixed at 1e-6 from the first measurement
+    exact = taylor_at_root(
+        RootAnchor(F(APX_A.t0), APX_A.sgn, F(APX_A.lam3)), EquationParams(F(APX_P.chi0), F(APX_P.chi_inf)), 40
+    )
+    got = taylor_at_root(APX_A, APX_P, 40)
+    assert _coeff_error(got.coeffs, exact.coeffs) <= 1e-6
+
+
+def test_taylor_at_root_prefix_is_bit_identical():
+    for a, p in random_cases(4):
+        high = taylor_at_root(a, p, 40)
+        for k in (0, 1, 5, 17, 39):
+            assert high.truncated(k) == taylor_at_root(a, p, k)
+
+
+def test_taylor_at_root_rejects_negative_order():
+    with pytest.raises(ValueError):
+        taylor_at_root(A, P, -1)
+    with pytest.raises(ValueError):
+        run_scheme(A, P, -1)
