@@ -353,7 +353,8 @@ def run_scheme(a: RootAnchor, p: EquationParams, target_order: int) -> tuple[DtS
 
 def taylor_at_root(a: RootAnchor, p: EquationParams, target_order: int) -> DtSeries:
     """Cubic-factor series valid to ``target_order`` from the Painleve-test
-    recurrence; the same series as ``run_scheme(a, p, target_order)[0]``.
+    recurrence; the same series as ``run_scheme(a, p, target_order)[0]`` up
+    to rounding, of which it accumulates far less.
 
     Multiplying the equation by t^2*lam gives the polynomial form
 
