@@ -11,6 +11,10 @@ crossing record.
 
 Poles are not crossed: when |lam| exceeds a cap the integration stops on
 that side and leaves a pole marker.
+
+The stepping runs on ``_rk.solve_ivp``, a pure-Python Dormand-Prince 5(4)
+kernel with scipy RK45's step control and dense output.  Each solver
+segment keeps its step count, its right-hand-side calls and why it ended.
 """
 
 from __future__ import annotations
@@ -19,9 +23,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.optimize import brentq, least_squares
 
+from ._rk import DenseOutput, solve_ivp
 from .equation import DomainError, EquationParams, RootAnchor, SignSwitch, rhs_scalar, third_derivative
 from .series import DtSeries, assemble_lambda, series_eval, series_eval_derivative, taylor_at_root
 
@@ -60,6 +64,22 @@ class CrossingRecord:
     series: DtSeries  # assembled lam expansion anchored at t0
 
 
+@dataclass(frozen=True)
+class Segment:
+    """One solver run of the composite solution and how it went."""
+
+    lo: float
+    hi: float
+    sol: DenseOutput  # sol(t) -> [lam, lam'] over the run
+    steps: int  # accepted steps
+    rhs_calls: int  # right-hand-side evaluations, rejected steps included
+    end: str  # "span_end", "root", "near_root" or "pole_cap"
+
+
+# why a segment ended, by the index of the terminal event that fired
+_EVENT_ENDS = ("root", "near_root", "pole_cap")
+
+
 @dataclass
 class DenseSolution:
     """Piecewise dense P-III' solution: solver segments plus crossing zones."""
@@ -67,20 +87,20 @@ class DenseSolution:
     params: EquationParams
     rel_tol: float
     abs_tol: float
-    segments: list = field(default_factory=list)  # (lo, hi, scipy OdeSolution)
+    segments: list = field(default_factory=list)  # Segment records
     crossings: list = field(default_factory=list)
     pole_markers: list = field(default_factory=list)  # (t, side) where |lam| hit the cap
 
     @property
     def t_min(self) -> float:
-        return min(lo for lo, _, _ in self.segments)
+        return min(seg.lo for seg in self.segments)
 
     @property
     def t_max(self) -> float:
-        return max(hi for _, hi, _ in self.segments)
+        return max(seg.hi for seg in self.segments)
 
     def covers(self, t: float) -> bool:
-        if any(lo <= t <= hi for lo, hi, _ in self.segments):
+        if any(seg.lo <= t <= seg.hi for seg in self.segments):
             return True
         return any(c.zone[0] <= t <= c.zone[1] for c in self.crossings)
 
@@ -89,12 +109,12 @@ class DenseSolution:
             if c.zone[0] <= t <= c.zone[1]:
                 return c
         best = None
-        for lo, hi, seg in self.segments:
-            if lo <= t <= hi:
-                return seg
-            gap = min(abs(t - lo), abs(t - hi))
+        for seg in self.segments:
+            if seg.lo <= t <= seg.hi:
+                return seg.sol
+            gap = min(abs(t - seg.lo), abs(t - seg.hi))
             if best is None or gap < best[0]:
-                best = (gap, seg)
+                best = (gap, seg.sol)
         if best is not None and best[0] < 1e-9 * max(1.0, abs(t)):
             return best[1]
         raise DomainError(f"t={t} outside the computed span")
@@ -108,8 +128,8 @@ class DenseSolution:
                 series_eval(obj.series, dt),
                 series_eval_derivative(obj.series, dt),
             )
-        y = obj(t)
-        return float(y[0]), float(y[1])
+        lam, lamdot = obj(t)
+        return float(lam), float(lamdot)
 
     def lam(self, t: float) -> float:
         return self.state(t)[0]
@@ -119,7 +139,7 @@ class DenseSolution:
 
     def mesh_nodes(self) -> np.ndarray:
         """Accepted-step abscissae of all segments, sorted."""
-        ts = np.concatenate([seg.ts for _, _, seg in self.segments])
+        ts = np.concatenate([seg.sol.ts for seg in self.segments])
         return np.unique(ts)
 
 
@@ -207,18 +227,14 @@ def integrate(
     def ev_zero(t, y):
         return y[0]
 
-    ev_zero.terminal = True
-
     def ev_near(t, y):
         return abs(y[0]) - _EPS_SWITCH_REL * abs(t)
 
-    ev_near.terminal = True
     ev_near.direction = -1
 
     def ev_pole(t, y):
         return abs(y[0]) - _POLE_CAP
 
-    ev_pole.terminal = True
     ev_pole.direction = 1
 
     def sweep(t_start, y_start, t_end):
@@ -229,32 +245,21 @@ def integrate(
                 rhs,
                 (t_cur, t_end),
                 y_cur,
-                method="RK45",
                 rtol=rel_tol,
                 atol=abs_tol,
-                dense_output=True,
                 events=[ev_zero, ev_near, ev_pole],
             )
             if res.status == -1:
                 raise IntegrationError(f"integration failed near t={res.t[-1]}: {res.message}")
             seg = res.sol
-            seg.ts = res.t
-            seg_lo, seg_hi = min(t_cur, res.t[-1]), max(t_cur, res.t[-1])
-
             if res.status == 0:  # reached t_end
-                sol.segments.append((seg_lo, seg_hi, seg))
-                return
-            hit_zero = len(res.t_events[0]) > 0
-            hit_near = len(res.t_events[1]) > 0
-            hit_pole = len(res.t_events[2]) > 0
-            if hit_pole:
-                t_e = float(res.t_events[2][0])
-                sol.segments.append((min(t_cur, t_e), max(t_cur, t_e), seg))
-                sol.pole_markers.append((t_e, "right" if direction > 0 else "left"))
-                return
-            t_e = float((res.t_events[0][0] if hit_zero else res.t_events[1][0]))
-            # near-side point with |lam| equal to the switching threshold
-            if hit_zero and not hit_near:
+                end, t_s = "span_end", res.t[-1]
+            else:
+                k = next(i for i, te in enumerate(res.t_events) if te)
+                end, t_s = _EVENT_ENDS[k], float(res.t_events[k][0])
+            if end == "root":
+                # back to the near-side point with |lam| equal to the switching threshold
+                t_e = t_s
                 g = lambda t: abs(seg(t)[0]) - _EPS_SWITCH_REL * abs(t)
                 t_back = t_cur
                 for tm in reversed([t for t in res.t if (t_e - t) * direction > 0]):
@@ -262,13 +267,16 @@ def integrate(
                         t_back = tm
                         break
                 t_s = brentq(g, t_back, t_e, xtol=1e-15 * max(1.0, abs(t_e)))
-            else:
-                t_s = t_e
-            seg_lo, seg_hi = min(t_cur, t_s), max(t_cur, t_s)
-            sol.segments.append((seg_lo, seg_hi, seg))
+            sol.segments.append(
+                Segment(min(t_cur, t_s), max(t_cur, t_s), seg, len(res.t) - 1, res.nfev, end)
+            )
+            if end == "span_end":
+                return
+            if end == "pole_cap":
+                sol.pole_markers.append((t_s, "right" if direction > 0 else "left"))
+                return
 
-            inner = lambda t: (float(seg(t)[0]), float(seg(t)[1]))
-            crossing = _crossing_from_stop(p, inner, t_s, t_cur)
+            crossing = _crossing_from_stop(p, seg, t_s, t_cur)
             z = _EPS_RESUME_REL * abs(crossing.t0)
             t_r = crossing.t0 + direction * z
             zone = (min(t_s, t_r), max(t_s, t_r))
@@ -288,7 +296,7 @@ def integrate(
         sweep(t_init, (lam0, lamdot0), hi)
     if lo < t_init:
         sweep(t_init, (lam0, lamdot0), lo)
-    sol.segments.sort(key=lambda s: s[0])
+    sol.segments.sort(key=lambda seg: seg.lo)
     sol.crossings.sort(key=lambda c: c.t0)
     return sol
 
@@ -305,15 +313,15 @@ def integrate_hamiltonian(
 ):
     """Plain dense integration of the coupled Hamilton system (lam, mu) for
     one fixed sign switch; no root crossing (mu is regular at matching-sign
-    roots).  Returns the scipy result object with dense output."""
+    roots).  Returns the kernel's result: ``.sol(t)`` gives (lam, mu) and
+    ``.t`` the accepted steps.  Raises IntegrationError naming t if the step
+    size underflows before the span end."""
     from .equation import hamilton_rhs, PhasePoint
 
     def rhs(t, y):
         return hamilton_rhs(PhasePoint(t, y[0], y[1]), p, s)
 
-    res = solve_ivp(
-        rhs, span, [lam0, mu0], method="RK45", rtol=rel_tol, atol=abs_tol, dense_output=True
-    )
+    res = solve_ivp(rhs, span, [lam0, mu0], rtol=rel_tol, atol=abs_tol)
     if res.status != 0:
         raise IntegrationError(f"Hamiltonian integration failed near t={res.t[-1]}: {res.message}")
     return res

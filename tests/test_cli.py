@@ -1,9 +1,14 @@
 """CLI surface: flag validation, determinism, config file, round-trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import p3prime
 from p3prime import EquationParams, LaurentExpansion, RootAnchor, SignSwitch
 from p3prime.cli import main
 from p3prime.io import (
@@ -153,3 +158,17 @@ def test_roots_csv_format(tmp_path):
     ])
     assert code == 0
     assert open(base + ".csv").readline().strip() == "t0,sgn,lam3"
+
+
+def test_cli_import_skips_scipy_integrate():
+    # the RK kernel is pure Python; scipy.optimize stays for brentq and least_squares
+    src = str(Path(p3prime.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import p3prime.cli"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    modules = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    assert "p3prime.cli" in modules
+    assert "scipy.optimize" in modules
+    assert not [m for m in modules if m == "scipy.integrate" or m.startswith("scipy.integrate.")]

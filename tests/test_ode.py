@@ -121,6 +121,38 @@ def test_failed_crossing_fit_raises(monkeypatch):
         integrate(P, 0.833651, 0.288298, 0.374531, (0.4, 0.9))
 
 
+def test_step_size_underflow_raises(monkeypatch):
+    # lam'' = lam'^2 drives lam' like y' = y^2: it blows up at t = 1.5 while
+    # lam grows only like a logarithm, so no event stops the run first
+    monkeypatch.setattr(ode, "rhs_scalar", lambda t, lam, lamdot, p: lamdot**2)
+    with pytest.raises(IntegrationError, match=r"integration failed near t=1\.4999"):
+        integrate(P, 0.5, 1.0, 1.0, (0.5, 2.5))
+
+
+def test_hamiltonian_step_size_underflow_raises(monkeypatch):
+    # y' = y^2, y(0) = 1 blows up at t = 1
+    from p3prime import equation
+
+    monkeypatch.setattr(equation, "hamilton_rhs", lambda pt, p, s: (pt.lam**2, 0.0))
+    with pytest.raises(IntegrationError, match=r"Hamiltonian integration failed near t=0\.9999"):
+        integrate_hamiltonian(P, SignSwitch(1), 0.0, 1.0, 0.0, (0.0, 2.0))
+
+
+def test_segment_run_record(monkeypatch):
+    calls = []
+    rhs = ode.rhs_scalar
+    monkeypatch.setattr(ode, "rhs_scalar", lambda *args: calls.append(1) or rhs(*args))
+    from p3prime.acceptance import REF_CAUCHY, REF_PARAMS, REF_SPAN
+
+    sol = integrate(REF_PARAMS, *REF_CAUCHY, REF_SPAN)
+    assert all(seg.steps > 0 and seg.rhs_calls >= 6 * seg.steps for seg in sol.segments)
+    assert sum(seg.rhs_calls for seg in sol.segments) == len(calls)
+    ends = [seg.end for seg in sol.segments]
+    assert sum(end in ("root", "near_root") for end in ends) == len(sol.crossings) == 6
+    assert ends.count("pole_cap") == len(sol.pole_markers) == 0
+    assert ends.count("span_end") == 2  # one per sweep direction
+
+
 def test_find_roots_empty_on_rootless_window():
     sol = integrate(P, 0.8, *_state(0.8), (0.6, 1.3))
     assert find_roots(sol) == []
@@ -241,6 +273,7 @@ def test_pole_marker_on_blowup():
     dt0 = -0.05 * a.t0
     sol = integrate(P, a.t0 + dt0, le.eval(dt0), le.eval_derivative(dt0), (0.55, 0.75))
     assert len(sol.pole_markers) == 1
+    assert [seg.end for seg in sol.segments] == ["span_end", "pole_cap"]  # left sweep, right sweep
     t_p, side = sol.pole_markers[0]
     assert side == "right"
     assert abs(t_p - a.t0) < 0.01 * a.t0
