@@ -23,31 +23,23 @@ from .equation import (
 from .series import (
     AnchorMismatchError,
     DtSeries,
-    SigmaDtPoly,
     assemble_lambda,
     init_pair,
-    kernel_omega_lambda,
-    kernel_omega_lambda_hat,
-    kernel_omega_mu,
-    kernel_omega_xi,
     lam6_reference,
     mu_at_root,
     residual_order,
     run_scheme,
     series_eval,
-    sigma_average,
     step_lambda,
     step_lambda_refined,
     step_mu,
     taylor_at_root,
-    xi_series,
 )
 from .bounds import BoundSet, IncrementReport, algorithm_increments, convergence_bounds
 from .poles import (
     LaurentExpansion,
     pole_b5_reference,
     pole_residual_order,
-    pole_to_root_series,
     root_to_pole,
     series_reciprocal_times_t,
 )

@@ -59,6 +59,11 @@ def ptrim(a, cap):
     return out
 
 
+def psigma_avg(a, extra=0):
+    """Integral over sigma in (0, 1) of sigma**extra * f(sigma*x), f = sum a_k x**k."""
+    return [c / (k + extra + 1) for k, c in enumerate(a)]
+
+
 def pder(a):
     return [k * c for k, c in enumerate(a)][1:] or [0]
 

@@ -10,6 +10,11 @@ increment kernels.  ``convergence_bounds`` computes such a certificate;
 ``algorithm_increments`` actually runs the five-substep increment iteration
 on polynomial representatives and reports the measured decay against the
 majorant, plus the accumulated partial sums.
+
+Each increment kernel ``d_omega_*`` is written once, as plain arithmetic in
+(eta, lam_hat, mu_hat, d_lam, d_mu).  The same formula gives pointwise values
+on floats or numpy arrays and eta-polynomials on ``_EtaPoly`` arguments, so
+the sampled majorant check and the iteration run the same definition.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _poly
 from .equation import DomainError, EquationParams, RootAnchor
 from .series import init_pair
 
@@ -114,15 +120,16 @@ def convergence_bounds(a: RootAnchor, p: EquationParams, alpha: float = 0.5) -> 
     )
 
 
-# increment kernels; arguments are values at the shifted point tau = t0 + eta
+# increment kernels; arguments are values at the shifted point tau = t0 + eta,
+# either pointwise or as _EtaPoly eta-polynomials (module docstring)
 
 
-def d_omega_mu_lambda(eta: float, mu_hat: float, d_mu: float) -> float:
+def d_omega_mu_lambda(eta, mu_hat, d_mu):
     """Coefficient of d_lam in the mu-kernel difference."""
     return -0.5 * eta**3 * ((2 * mu_hat - 1) ** 2 - 1 + d_mu**2)
 
 
-def d_omega_mu_mu(eta: float, lam_hat: float, mu_hat: float, a: RootAnchor, p: EquationParams) -> float:
+def d_omega_mu_mu(eta, lam_hat, mu_hat, a: RootAnchor, p: EquationParams):
     """Coefficient of d_mu in the mu-kernel difference."""
     sg, t0 = a.s, a.t0
     return sg * p.chi0 - 2 * eta * (2 * mu_hat - 1) * (
@@ -130,9 +137,7 @@ def d_omega_mu_mu(eta: float, lam_hat: float, mu_hat: float, a: RootAnchor, p: E
     )
 
 
-def d_omega_xi_lambda(
-    eta: float, lam_hat: float, mu_hat: float, d_mu: float, a: RootAnchor, p: EquationParams
-) -> float:
+def d_omega_xi_lambda(eta, lam_hat, mu_hat, d_mu, a: RootAnchor, p: EquationParams):
     """Coefficient of d_lam in the xi-kernel difference."""
     sg, t0 = a.s, a.t0
     return (
@@ -142,9 +147,7 @@ def d_omega_xi_lambda(
     )
 
 
-def d_omega_xi_mu(
-    eta: float, lam_hat: float, mu_hat: float, d_lam: float, a: RootAnchor, p: EquationParams
-) -> float:
+def d_omega_xi_mu(eta, lam_hat, mu_hat, d_lam, a: RootAnchor, p: EquationParams):
     """Coefficient of d_mu in the xi-kernel difference."""
     sg, t0 = a.s, a.t0
     return (
@@ -155,6 +158,58 @@ def d_omega_xi_mu(
         )
         - 6 * eta**3 * t0 * (lam_hat**2 - d_lam**2 / 4)
     )
+
+
+class _EtaPoly:
+    """Polynomial in eta on a numpy float array, truncated after degree ``cap``
+    by every operation; scalars act as constant polynomials."""
+
+    __array_ufunc__ = None  # numpy scalars defer to the reflected operators
+
+    def __init__(self, c, cap: int):
+        self.c = np.asarray(c, dtype=float)[: cap + 1]
+        self.cap = cap
+
+    def _new(self, c):
+        return _EtaPoly(c, self.cap)
+
+    def __add__(self, other):
+        if not isinstance(other, _EtaPoly):
+            other = self._new([other])
+        a, b = (self.c, other.c) if len(self.c) >= len(other.c) else (other.c, self.c)
+        out = a.copy()
+        out[: len(b)] += b
+        return self._new(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._new(-self.c)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, _EtaPoly):
+            return self._new(np.convolve(self.c, other.c))
+        return self._new(self.c * other)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return self._new(self.c / other)
+
+    def __pow__(self, n: int):
+        out = self
+        for _ in range(n - 1):
+            out = out * self
+        return out
+
+    def sigma_avg(self, extra: int = 0) -> "_EtaPoly":
+        return self._new(_poly.psigma_avg(self.c, extra))
 
 
 @dataclass(frozen=True)
@@ -178,141 +233,73 @@ class IncrementReport:
         )
 
 
-class _Cap:
-    """Degree-capped polynomial arithmetic over numpy float arrays."""
-
-    def __init__(self, cap: int):
-        self.cap = cap
-
-    def mul(self, a, b):
-        return np.convolve(a, b)[: self.cap + 1]
-
-    def add(self, *arrs):
-        n = max(len(x) for x in arrs)
-        out = np.zeros(n)
-        for x in arrs:
-            out[: len(x)] += x
-        return out[: self.cap + 1]
-
-    def shift(self, a, k):
-        return np.concatenate([np.zeros(k), a])[: self.cap + 1]
-
-
-def _sigma_avg_eta(arr: np.ndarray, extra: int) -> np.ndarray:
-    """integral_0^1 sigma^extra * f(sigma*dt) dsigma for an eta-polynomial f."""
-    k = np.arange(len(arr))
-    return arr / (k + extra + 1)
-
-
 def algorithm_increments(
     a: RootAnchor,
     p: EquationParams,
     n_max: int,
     t_samples,
     bounds: BoundSet | None = None,
-    degree_cap: int | None = None,
 ) -> IncrementReport:
     """Run the five-substep increment iteration for n = 1..n_max and report
     |d_lam_n|, |d_mu_n| at the samples next to the geometric majorant.
 
-    The iteration operates on polynomial representatives (degree-capped well
-    beyond the decay horizon); every sample must satisfy
-    |t - t0| < alpha_tilde*|t0|.
+    The iteration operates on polynomial representatives, truncated after
+    degree max(64, n_max + 24), well beyond the decay horizon; every sample
+    must satisfy |t - t0| < alpha_tilde*|t0|.
     """
     if bounds is None:
         bounds = convergence_bounds(a, p)
-    sg, t0 = a.s, a.t0
+    t0 = a.t0
     ts = [float(t) for t in t_samples]
     for t in ts:
         if abs(t - t0) >= bounds.alpha_tilde * abs(t0):
             raise DomainError(f"sample t={t} outside the certified domain")
     dts = np.array([t - t0 for t in ts])
-    cap = degree_cap if degree_cap is not None else max(64, n_max + 24)
-    P = _Cap(cap)
-
-    k0 = (p.chi0 - sg) / (2 * t0)
-
-    def inner_factor(lam_hat):
-        # sgn - eta*k0 + eta^2*lam_hat(tau), as an eta-polynomial
-        return P.add(np.array([sg, -k0]), P.shift(lam_hat, 2))
-
-    def d_om_mu_mu(lam_hat, mu_hat):
-        two_mu = P.add(2 * mu_hat, np.array([-1.0]))
-        return P.add(np.array([sg * p.chi0]), -2 * P.shift(P.mul(two_mu, inner_factor(lam_hat)), 1))
-
-    def d_om_mu_lam(mu_hat, d_mu):
-        two_mu = P.add(2 * mu_hat, np.array([-1.0]))
-        g = P.add(P.mul(two_mu, two_mu), np.array([-1.0]), P.mul(d_mu, d_mu))
-        return -0.5 * P.shift(g, 3)
-
-    def d_om_xi_lam(lam_hat, mu_hat, d_mu):
-        two_mu = P.add(2 * mu_hat, np.array([-1.0]))
-        g = P.add(P.mul(mu_hat, P.add(mu_hat, np.array([-1.0]))), 0.25 * P.mul(d_mu, d_mu))
-        return P.add(
-            np.array([-3 * sg * t0 * (p.chi0 - 2 * sg)]),
-            6 * t0 * P.shift(P.mul(two_mu, inner_factor(lam_hat)), 1),
-            4 * P.shift(g, 3),
-        )
-
-    def d_om_xi_mu(lam_hat, mu_hat, d_lam):
-        lead = P.add(2 * mu_hat, np.array([-1.0]), 3 * t0 * lam_hat)
-        g = P.add(P.mul(lam_hat, lam_hat), -0.25 * P.mul(d_lam, d_lam))
-        return P.add(
-            np.array([-8 * sg * p.chi0, 3 * (p.chi0 - sg) ** 2 / (2 * t0)]),
-            4 * P.shift(P.mul(lead, inner_factor(lam_hat)), 1),
-            -6 * t0 * P.shift(g, 3),
-        )
+    cap = max(64, n_max + 24)
+    eta = _EtaPoly([0.0, 1.0], cap)
 
     lam1, mu1 = init_pair(a, p)
-    lam_prev = np.zeros(1)
-    mu_prev = np.zeros(1)
-    d_lam = np.array(lam1.coeffs, dtype=float)
-    d_mu = np.array(mu1.coeffs, dtype=float)
+    lam_prev = mu_prev = _EtaPoly([0.0], cap)
+    d_lam = _EtaPoly(lam1.coeffs, cap)
+    d_mu = _EtaPoly(mu1.coeffs, cap)
 
     d_lam_abs = np.zeros((n_max, len(ts)))
     d_mu_abs = np.zeros((n_max, len(ts)))
     lam_tot = np.zeros(len(ts))
     mu_tot = np.zeros(len(ts))
 
-    def val(arr, dt):
-        return float(np.polynomial.polynomial.polyval(dt, arr))
-
     for n in range(1, n_max + 1):
-        for i, dt in enumerate(dts):
-            d_lam_abs[n - 1, i] = abs(val(d_lam, dt))
-            d_mu_abs[n - 1, i] = abs(val(d_mu, dt))
-        lam_tot += np.array([val(d_lam, dt) for dt in dts])
-        mu_tot += np.array([val(d_mu, dt) for dt in dts])
+        d_lam_val = np.polynomial.polynomial.polyval(dts, d_lam.c)
+        d_mu_val = np.polynomial.polynomial.polyval(dts, d_mu.c)
+        d_lam_abs[n - 1] = np.abs(d_lam_val)
+        d_mu_abs[n - 1] = np.abs(d_mu_val)
+        lam_tot += d_lam_val
+        mu_tot += d_mu_val
         if n == n_max:
             break
-        lam_n = P.add(lam_prev, d_lam)
-        mu_n = P.add(mu_prev, d_mu)
-        lam_half = P.add(lam_prev, 0.5 * d_lam)
-        mu_half = P.add(mu_prev, 0.5 * d_mu)
+        lam_n = lam_prev + d_lam
+        mu_n = mu_prev + d_mu
+        lam_half = lam_prev + 0.5 * d_lam
+        mu_half = mu_prev + 0.5 * d_mu
         # increments live one dt-order up per step; kernels take eta-polynomials
-        integ_mu = P.add(
-            P.mul(d_mu, d_om_mu_mu(lam_half, mu_half)),
-            P.mul(d_lam, d_om_mu_lam(mu_half, d_mu)),
+        integ_mu = (
+            d_mu * d_omega_mu_mu(eta, lam_half, mu_half, a, p)
+            + d_lam * d_omega_mu_lambda(eta, mu_half, d_mu)
         )
-        d_mu_next = (1 / t0) * P.shift(P.add(-d_mu, _sigma_avg_eta(integ_mu, 0)), 1)
-        mu_half2 = P.add(mu_n, 0.5 * d_mu_next)
-        integ_a = P.add(
-            P.mul(d_mu_next, d_om_mu_mu(lam_half, mu_half2)),
-            P.mul(d_lam, d_om_mu_lam(mu_half2, d_mu_next)),
+        d_mu_next = (1 / t0) * (eta * (-d_mu + integ_mu.sigma_avg()))
+        mu_half2 = mu_n + 0.5 * d_mu_next
+        integ_a = (
+            d_mu_next * d_omega_mu_mu(eta, lam_half, mu_half2, a, p)
+            + d_lam * d_omega_mu_lambda(eta, mu_half2, d_mu_next)
         )
-        integ_b = P.add(
-            P.mul(d_mu_next, d_om_xi_mu(lam_half, mu_half2, d_lam)),
-            P.mul(d_lam, d_om_xi_lam(lam_half, mu_half2, d_mu_next)),
+        integ_b = (
+            d_mu_next * d_omega_xi_mu(eta, lam_half, mu_half2, d_lam, a, p)
+            + d_lam * d_omega_xi_lambda(eta, lam_half, mu_half2, d_mu_next, a, p)
         )
         # sign: the refined update carries -(dt/t0)*(... - (3 t0)^-1 * integral),
         # so the kernel-difference integrals enter the increment with a plus
-        d_lam_next = (1 / t0) * P.shift(
-            P.add(
-                -d_lam,
-                (2 / (3 * t0)) * _sigma_avg_eta(integ_a, 0),
-                (1 / (3 * t0)) * _sigma_avg_eta(integ_b, 3),
-            ),
-            1,
+        d_lam_next = (1 / t0) * (
+            eta * (-d_lam + (2 / (3 * t0)) * integ_a.sigma_avg() + (1 / (3 * t0)) * integ_b.sigma_avg(3))
         )
         lam_prev, mu_prev = lam_n, mu_n
         d_lam, d_mu = d_lam_next, d_mu_next

@@ -24,7 +24,7 @@ from .bounds import convergence_bounds
 from .equation import DomainError, EquationParams, InvalidParametersError, RootAnchor, SignSwitch, third_derivative
 from .ode import IntegrationError, RootInfo, find_roots, integrate, lam3_at_root, residual_scan, symmetry_check
 from .poles import root_to_pole
-from .series import assemble_lambda, run_scheme, series_eval
+from .series import assemble_lambda, run_scheme, series_eval, series_eval_derivative
 
 log = logging.getLogger("p3prime")
 
@@ -217,8 +217,6 @@ def _integrate_from_cfg(cfg: RunConfig):
         dt = 0.01 * abs(a.t0)
         t_i = a.t0 + dt
         lam_i = series_eval(lam, dt)
-        from .series import series_eval_derivative
-
         lamdot_i = series_eval_derivative(lam, dt)
     return integrate(cfg.params, t_i, lam_i, lamdot_i, cfg.span, cfg.rel_tol, cfg.abs_tol)
 

@@ -190,6 +190,8 @@ def w_lambda(dt: float, t: float, uplam: float, mu: float, a: RootAnchor, p: Equ
     ``uplam`` and ``mu`` are the scalar values of the two unknown functions
     at the evaluation point t = t0 + dt.  The dt**-1 term is explicit, hence
     dt = 0 is excluded; on solutions its numerator vanishes at the root.
+    No other module calls it: ``test_w_functions_reproduce_series_derivatives``
+    uses it as the oracle that the series solve the coupled system.
     """
     if dt == 0:
         raise DomainError("dt = 0: the explicit 1/dt term is undefined")
@@ -201,7 +203,10 @@ def w_lambda(dt: float, t: float, uplam: float, mu: float, a: RootAnchor, p: Equ
 
 
 def w_mu(dt: float, t: float, uplam: float, mu: float, a: RootAnchor, p: EquationParams) -> float:
-    """Right-hand side of t * d(mu)/dt for the conjugate momentum."""
+    """Right-hand side of t * d(mu)/dt for the conjugate momentum.
+
+    Like ``w_lambda``, the oracle of ``test_w_functions_reproduce_series_derivatives``.
+    """
     sg, t0 = a.s, a.t0
     return (
         -0.5 * (p.chi_inf + sg * p.chi0 - 1)

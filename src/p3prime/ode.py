@@ -26,7 +26,16 @@ import numpy as np
 from scipy.optimize import brentq, least_squares
 
 from ._rk import DenseOutput, solve_ivp
-from .equation import DomainError, EquationParams, RootAnchor, SignSwitch, rhs_scalar, third_derivative
+from .equation import (
+    DomainError,
+    EquationParams,
+    PhasePoint,
+    RootAnchor,
+    SignSwitch,
+    hamilton_rhs,
+    rhs_scalar,
+    third_derivative,
+)
 from .series import DtSeries, assemble_lambda, series_eval, series_eval_derivative, taylor_at_root
 
 _EPS_SWITCH_REL = 1e-4  # |lam| < this * |t| triggers the crossing protocol
@@ -316,8 +325,6 @@ def integrate_hamiltonian(
     roots).  Returns the kernel's result: ``.sol(t)`` gives (lam, mu) and
     ``.t`` the accepted steps.  Raises IntegrationError naming t if the step
     size underflows before the span end."""
-    from .equation import hamilton_rhs, PhasePoint
-
     def rhs(t, y):
         return hamilton_rhs(PhasePoint(t, y[0], y[1]), p, s)
 

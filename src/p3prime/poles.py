@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import _poly
 from .equation import DomainError, EquationParams, RootAnchor
-from .series import DtSeries, assemble_lambda, taylor_at_root
+from .series import DtSeries, _residual_slope, assemble_lambda, taylor_at_root
 
 
 @dataclass(frozen=True)
@@ -87,15 +87,6 @@ def root_to_pole(a: RootAnchor, p: EquationParams, order: int) -> LaurentExpansi
     return LaurentExpansion(le.t0, le.residue, _poly.ptrim(le.trusted(), order), min(le.valid_order, order))
 
 
-def pole_to_root_series(le: LaurentExpansion, a: RootAnchor) -> DtSeries:
-    """Inverse map: (t0 + dt)/laurent as a simple-root series (involution)."""
-    v = [le.residue] + le.trusted()
-    n = le.valid_order + 1
-    inv_v = _poly.precip(v, n)
-    e = _poly.padd(_poly.pscale(inv_v, le.t0), _poly.pshift(inv_v, 1))
-    return DtSeries(a, _poly.pshift(_poly.ptrim(e, n), 1), n + 1)
-
-
 def pole_b5_reference(a: RootAnchor, p: EquationParams) -> LaurentExpansion:
     """Hand-transcribed closed-form pole expansion through dt^4 (the
     independent oracle for ``root_to_pole``); a.lam3 is the swapped-problem
@@ -126,12 +117,10 @@ def pole_b5_reference(a: RootAnchor, p: EquationParams) -> LaurentExpansion:
 # residual order at a pole
 
 
-def _laurent_residual_coeffs(le: LaurentExpansion, p: EquationParams, work_order: int):
-    """Coefficients of dt^4 * (lam'' - RHS) for a truncated pole expansion,
-    plus a parallel magnitude scale (sum of term magnitudes per order) that
-    tells genuine leading coefficients apart from rounding dust left by
-    orders cancelling identically."""
-    W = work_order + 3
+def _laurent_residual_terms(le: LaurentExpansion, p: EquationParams, work_order: int) -> list:
+    """Coefficient lists of the terms of dt^4 * (lam'' - RHS) for a truncated
+    pole expansion, each kept to degree ``work_order``."""
+    W = work_order
     f = _poly.ptrim([le.residue] + le.trusted(), W)  # lam = f(dt)/dt
     fd = _poly.pder(f)
     g = _poly.padd(_poly.pshift(fd, 1), _poly.pscale(f, -1.0))  # lam' = g/dt^2
@@ -143,7 +132,7 @@ def _laurent_residual_coeffs(le: LaurentExpansion, p: EquationParams, work_order
     f2 = _poly.pmul(f, f, cap=W)
     f3 = _poly.pmul(f2, f, cap=W)
     # each term is dt^4 times the corresponding piece of lam'' - RHS
-    terms = [
+    return [
         _poly.pshift(_poly.ptrim(h, W - 1), 1),
         _poly.pscale(_poly.pshift(_poly.pmul(_poly.pmul(g, g, cap=W), inv_f, cap=W - 1), 1), -1.0),
         _poly.pshift(_poly.pmul(g, inv_t, cap=W - 2), 2),
@@ -152,45 +141,13 @@ def _laurent_residual_coeffs(le: LaurentExpansion, p: EquationParams, work_order
         _poly.pscale(_poly.pshift(inv_t, 4), -p.chi0),
         _poly.pshift(inv_f, 5),
     ]
-    r4 = [0.0] * (W + 1)
-    scale4 = [0.0] * (W + 1)
-    for t in terms:
-        for k, c in enumerate(_poly.ptrim(t, W)):
-            r4[k] += c
-            scale4[k] += abs(c)
-    return r4, scale4
-
-
-_DUST_RTOL = 1e-8
 
 
 def pole_residual_order(le: LaurentExpansion, p: EquationParams, dt_grid) -> float:
     """Log-log slope of the equation residual of a truncated pole expansion.
 
-    The residual is expanded as a Laurent series; orders that cancel
-    identically leave only rounding dust, detected against a magnitude
-    scale, and evaluation starts from the first genuine order."""
-    grid = [float(x) for x in dt_grid]
-    if len(grid) < 4 or any(x == 0 for x in grid):
-        raise DomainError("degenerate grid: need >= 4 nonzero dt values")
-    W = max(40, 3 * (le.valid_order + 3))
-    r4, scale4 = _laurent_residual_coeffs(le, p, W)
-    m = None
-    for k, (rk, sk) in enumerate(zip(r4, scale4)):
-        if abs(rk) > _DUST_RTOL * max(1.0, sk):
-            m = k
-            break
-    if m is None:
-        raise DomainError("residual vanishes to working precision")
-    tail = r4[m:]
-    xs, ys = [], []
-    for dt in grid:
-        val = _poly.peval(tail, dt) * dt ** (m - 4)
-        if val != 0.0:
-            xs.append(math.log(abs(dt)))
-            ys.append(math.log(abs(val)))
-    n = len(xs)
-    xbar, ybar = sum(xs) / n, sum(ys) / n
-    num = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
-    den = sum((x - xbar) ** 2 for x in xs)
-    return num / den
+    The residual times dt^4 is expanded as a power series, and
+    ``series._residual_slope`` fits the residual's own slope (power offset -4)
+    on the genuine tail, under the same grid rules as ``residual_order``."""
+    W = max(43, 3 * le.valid_order + 12)
+    return _residual_slope(_laurent_residual_terms(le, p, W), W, dt_grid, -4)

@@ -60,39 +60,6 @@ class DtSeries:
         return DtSeries(self.anchor, self.coeffs[: v + 1], v)
 
 
-@dataclass(frozen=True)
-class SigmaDtPoly:
-    """Bivariate polynomial in (sigma, dt): sparse map (sigma_pow, dt_pow) -> coeff."""
-
-    terms: dict
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "terms", {k: float(v) for k, v in self.terms.items() if v != 0.0}
-        )
-
-    def sigma_degree(self) -> int:
-        return max((m for m, _ in self.terms), default=0)
-
-    def dt_degree(self) -> int:
-        return max((k for _, k in self.terms), default=0)
-
-    def __add__(self, other: "SigmaDtPoly") -> "SigmaDtPoly":
-        out = dict(self.terms)
-        for key, v in other.terms.items():
-            out[key] = out.get(key, 0.0) + v
-        return SigmaDtPoly(out)
-
-    def scaled(self, c: float) -> "SigmaDtPoly":
-        return SigmaDtPoly({k: c * v for k, v in self.terms.items()})
-
-    def sigma_shifted(self, m: int) -> "SigmaDtPoly":
-        return SigmaDtPoly({(ms + m, k): v for (ms, k), v in self.terms.items()})
-
-    def eval(self, sigma: float, dt: float) -> float:
-        return sum(v * sigma**m * dt**k for (m, k), v in self.terms.items())
-
-
 def _require_same_anchor(lam: DtSeries, mu: DtSeries) -> None:
     if lam.anchor != mu.anchor:
         raise AnchorMismatchError("lambda and mu series anchored at different roots")
@@ -141,24 +108,15 @@ def init_pair(a: RootAnchor, p: EquationParams) -> tuple[DtSeries, DtSeries]:
     return DtSeries(a, lam_c, 0), DtSeries(a, mu_c, 0)
 
 
-def _tau_subst(coeffs) -> list:
-    """Series at the shifted argument tau = t0 + sigma*dt: c_k dt^k -> c_k eta^k.
-
-    Returned as an eta-polynomial; callers reinterpret index k as the pair
-    (sigma^k, dt^k).
-    """
-    return list(coeffs)
+# The kernels take the series at the shifted argument tau = t0 + sigma*dt.
+# A series sum_k c_k dt^k there is sum_k c_k eta^k with eta = sigma*dt, so the
+# coefficient lists go in unchanged and each kernel is an eta-polynomial.
 
 
-def _eta_poly_to_sigma_dt(eta_coeffs, extra_sigma: int = 0) -> SigmaDtPoly:
-    return SigmaDtPoly({(k + extra_sigma, k): c for k, c in enumerate(eta_coeffs)})
-
-
-def _kernel_mu_eta(lam_c, mu_c, a: RootAnchor, p: EquationParams) -> list:
+def _kernel_mu_eta(lam_t, mu_t, a: RootAnchor, p: EquationParams) -> list:
     """mu-update kernel as an eta-polynomial:
     mu(tau) * (sgn*chi0 + 2*eta*(1 - mu(tau))*(sgn - eta*(chi0-sgn)/(2t0) + eta^2*lam(tau)))."""
     sg, t0, chi0 = a.s, a.t0, p.chi0
-    lam_t, mu_t = _tau_subst(lam_c), _tau_subst(mu_c)
     inner = _poly.padd(
         _poly.padd([sg], _poly.pshift([-(chi0 - sg) / (2 * t0)], 1)), _poly.pshift(lam_t, 2)
     )
@@ -167,11 +125,10 @@ def _kernel_mu_eta(lam_c, mu_c, a: RootAnchor, p: EquationParams) -> list:
     return _poly.pmul(mu_t, _poly.padd([sg * chi0], tail))
 
 
-def _kernel_lambda_eta(lam_c, mu_c, a: RootAnchor, p: EquationParams) -> list:
+def _kernel_lambda_eta(lam_t, mu_t, a: RootAnchor, p: EquationParams) -> list:
     """lam-update kernel as an eta-polynomial."""
     sg, t0, chi0 = a.s, a.t0, p.chi0
     k0 = (chi0 - sg) / (2 * t0)
-    lam_t, mu_t = _tau_subst(lam_c), _tau_subst(mu_c)
     two_mu_m1 = _poly.padd(_poly.pscale(mu_t, 2.0), [-1.0])
     head = _poly.padd([sg * (chi0**2 - 1) / (2 * t0) - 1], _poly.pscale(mu_t, 2.0))
     mid = _poly.pshift(
@@ -191,11 +148,10 @@ def _kernel_lambda_eta(lam_c, mu_c, a: RootAnchor, p: EquationParams) -> list:
     return _poly.padd(_poly.padd(head, mid), tail)
 
 
-def _kernel_xi_eta(lam_c, mu_c, a: RootAnchor, p: EquationParams) -> list:
+def _kernel_xi_eta(lam_t, mu_t, a: RootAnchor, p: EquationParams) -> list:
     """Kernel of the root-ratio function xi as an eta-polynomial."""
     sg, t0, chi0 = a.s, a.t0, p.chi0
     k0 = (chi0 - sg) / (2 * t0)
-    lam_t, mu_t = _tau_subst(lam_c), _tau_subst(mu_c)
     two_mu_m1 = _poly.padd(_poly.pscale(mu_t, 2.0), [-1.0])
     head = _poly.padd(
         _poly.padd([sg * 3 * (chi0 - sg)], _poly.pscale(mu_t, -8 * sg * chi0)),
@@ -217,47 +173,9 @@ def _kernel_xi_eta(lam_c, mu_c, a: RootAnchor, p: EquationParams) -> list:
     return _poly.padd(_poly.padd(head, mid), tail)
 
 
-def kernel_omega_lambda(lam: DtSeries, mu: DtSeries, a: RootAnchor, p: EquationParams) -> SigmaDtPoly:
-    """Kernel of the lam update, expanded in (sigma, dt)."""
-    _require_same_anchor(lam, mu)
-    return _eta_poly_to_sigma_dt(_kernel_lambda_eta(lam.trusted(), mu.trusted(), a, p))
-
-
-def kernel_omega_mu(lam: DtSeries, mu: DtSeries, a: RootAnchor, p: EquationParams) -> SigmaDtPoly:
-    """Kernel of the mu update, expanded in (sigma, dt)."""
-    _require_same_anchor(lam, mu)
-    return _eta_poly_to_sigma_dt(_kernel_mu_eta(lam.trusted(), mu.trusted(), a, p))
-
-
-def kernel_omega_xi(lam: DtSeries, mu: DtSeries, a: RootAnchor, p: EquationParams) -> SigmaDtPoly:
-    """Kernel of the xi integral, expanded in (sigma, dt)."""
-    _require_same_anchor(lam, mu)
-    return _eta_poly_to_sigma_dt(_kernel_xi_eta(lam.trusted(), mu.trusted(), a, p))
-
-
-def kernel_omega_lambda_hat(lam: DtSeries, mu: DtSeries, a: RootAnchor, p: EquationParams) -> SigmaDtPoly:
-    """Kernel of the refined lam update: 2*Omega_mu + sigma^3*Omega_xi."""
-    _require_same_anchor(lam, mu)
-    return kernel_omega_mu(lam, mu, a, p).scaled(2.0) + kernel_omega_xi(lam, mu, a, p).sigma_shifted(3)
-
-
-def sigma_average(q: SigmaDtPoly, extra_sigma_power: int = 0) -> list:
-    """Exact integral over sigma in (0,1) of sigma**p * q, as dt coefficients.
-
-    Each (sigma^m, dt^k) term contributes coeff/(m + p + 1) to dt^k.
-    """
-    if extra_sigma_power < 0:
-        raise ValueError("extra_sigma_power must be >= 0")
-    n = q.dt_degree()
-    out = [0.0] * (n + 1)
-    for (m, k), v in q.terms.items():
-        out[k] += v / (m + extra_sigma_power + 1)
-    return out
-
-
 def _step_mu_raw(lam_c, mu_c, a: RootAnchor, p: EquationParams) -> list:
     sg, t0 = a.s, a.t0
-    om = [c / (k + 1) for k, c in enumerate(_kernel_mu_eta(lam_c, mu_c, a, p))]
+    om = _poly.psigma_avg(_kernel_mu_eta(lam_c, mu_c, a, p))
     inner = _poly.padd(
         _poly.padd([-0.5 * (p.chi_inf + sg * p.chi0 - 1)], _poly.pscale(mu_c, -1.0)), om
     )
@@ -266,7 +184,7 @@ def _step_mu_raw(lam_c, mu_c, a: RootAnchor, p: EquationParams) -> list:
 
 def _step_lambda_raw(lam_c, mu_c, a: RootAnchor, p: EquationParams) -> list:
     t0 = a.t0
-    om = [c / (k + 3) for k, c in enumerate(_kernel_lambda_eta(lam_c, mu_c, a, p))]
+    om = _poly.psigma_avg(_kernel_lambda_eta(lam_c, mu_c, a, p), 2)
     return _poly.padd(
         _poly.pshift(_poly.pscale(lam_c, -1 / t0), 1), _poly.pscale(om, 1 / t0)
     )
@@ -289,45 +207,22 @@ def step_lambda(lam_in: DtSeries, mu_in: DtSeries, a: RootAnchor, p: EquationPar
 
 
 def step_lambda_refined(lam_in: DtSeries, mu_in: DtSeries, a: RootAnchor, p: EquationParams) -> DtSeries:
-    """Refined lam update whose structure pins the value at the root exactly."""
+    """Refined lam update whose structure pins the value at the root exactly.
+
+    ``run_scheme`` does not use it: it is the independent oracle that
+    ``test_init_pair_matches_refined_step_from_zero`` checks ``init_pair``
+    against."""
     _require_same_anchor(lam_in, mu_in)
     sg, t0 = a.s, a.t0
     v = min(lam_in.valid_order + 1, mu_in.valid_order)
     mu_k = _kernel_mu_eta(lam_in.trusted(), mu_in.trusted(), a, p)
     xi_k = _kernel_xi_eta(lam_in.trusted(), mu_in.trusted(), a, p)
-    om = _poly.padd(
-        [2 * c / (k + 1) for k, c in enumerate(mu_k)],
-        [c / (k + 4) for k, c in enumerate(xi_k)],
-    )
+    om = _poly.padd(_poly.pscale(_poly.psigma_avg(mu_k), 2.0), _poly.psigma_avg(xi_k, 3))
     inner = _poly.padd(
         _poly.padd([(p.chi_inf + sg * p.chi0 - 1) / (4 * t0)], lam_in.trusted()),
         _poly.pscale(om, -1 / (3 * t0)),
     )
     out = _poly.padd([a.lam3], _poly.pshift(_poly.pscale(inner, -1 / t0), 1))
-    return DtSeries(a, _poly.ptrim(out, v), v)
-
-
-def xi_series(lam: DtSeries, mu: DtSeries, a: RootAnchor, p: EquationParams) -> DtSeries:
-    """The regular ratio xi(t): divided difference of the root constraint.
-
-    xi = -(1/t0)*((chi_inf + sgn*chi0 - 1)/4 + 2*mu - 3*t0*lam)
-         - (1/t0) * integral_0^1 sigma^3 * Omega_xi dsigma.
-    """
-    _require_same_anchor(lam, mu)
-    sg, t0 = a.s, a.t0
-    v = min(lam.valid_order, mu.valid_order)
-    xi_k = _kernel_xi_eta(lam.trusted(), mu.trusted(), a, p)
-    om = [c / (k + 4) for k, c in enumerate(xi_k)]
-    out = _poly.pscale(
-        _poly.padd(
-            _poly.padd(
-                _poly.padd([(p.chi_inf + sg * p.chi0 - 1) / 4], _poly.pscale(mu.trusted(), 2.0)),
-                _poly.pscale(lam.trusted(), -3 * t0),
-            ),
-            om,
-        ),
-        -1 / t0,
-    )
     return DtSeries(a, _poly.ptrim(out, v), v)
 
 
@@ -448,11 +343,9 @@ def lam6_reference(a: RootAnchor, p: EquationParams) -> DtSeries:
 # residual order measurement
 
 
-def _residual_series(lam_coeffs, t0: float, p: EquationParams, work_order: int):
-    """Power-series coefficients of lam'' - RHS for a polynomial lam with a
-    simple root (c0 = 0, c1 = +-1) at t0, plus a per-order magnitude scale
-    (sum of term magnitudes) used to tell genuine coefficients apart from
-    the rounding dust left by orders that cancel identically.
+def _residual_terms(lam_coeffs, t0: float, p: EquationParams, work_order: int) -> list:
+    """Power-series coefficient lists of the terms of lam'' - RHS for a
+    polynomial lam with a simple root (c0 = 0, c1 = +-1) at t0.
 
     The two 1/lam terms are combined into (lam'^2 - 1)/lam before dividing,
     so the series is regular; the constant of lam'^2 - 1 is exactly zero in
@@ -471,7 +364,7 @@ def _residual_series(lam_coeffs, t0: float, p: EquationParams, work_order: int):
     inv_t2 = _poly.pmul(inv_t, inv_t, cap=W)
     lam2 = _poly.pmul(lam, lam, cap=W)
     lam_cubed = _poly.pmul(lam2, lam, cap=W)
-    terms = [
+    return [
         lam_dd,
         _poly.pscale(_poly.pmul(q[1:], inv_u, cap=W), -1.0),  # -(lam'^2 - 1)/lam
         _poly.pmul(lam_d, inv_t, cap=W),
@@ -479,28 +372,21 @@ def _residual_series(lam_coeffs, t0: float, p: EquationParams, work_order: int):
         _poly.pscale(_poly.pmul(lam_cubed, inv_t2, cap=W), -1.0),
         _poly.pscale(inv_t, -p.chi0),
     ]
-    r = [0.0] * (W + 1)
-    scale = [0.0] * (W + 1)
-    for t in terms:
-        for k, c in enumerate(_poly.ptrim(t, W)):
-            r[k] += c
-            scale[k] += abs(c)
-    return r, scale
 
 
 _DUST_RTOL = 1e-8
 
 
-def residual_order(lam_series: DtSeries, p: EquationParams, dt_grid) -> float:
-    """Log-log slope of the equation residual of an assembled root expansion.
+def _residual_slope(terms, work_order: int, dt_grid, power_offset: int) -> float:
+    """Least-squares slope of log|r| against log|dt| over ``dt_grid``, where
+    r = dt**power_offset * sum(terms) and each term is a coefficient list.
 
-    The residual lam'' - RHS is expanded as a power series (derivatives by
-    exact series differentiation, the 1/lam terms by truncated reciprocal).
-    Leading coefficients that vanish identically in exact arithmetic show up
-    as rounding dust; a coefficient counts as genuine only above a
-    magnitude-scale threshold, and evaluation starts from the first genuine
-    order so the slope is measurable at small dt.  Returns the least-squares
-    slope of log|r| against log|dt|.
+    The terms are summed to ``work_order`` together with a per-order
+    magnitude scale (sum of term magnitudes).  Leading orders that vanish
+    identically in exact arithmetic show up as rounding dust; a coefficient
+    counts as genuine only above ``_DUST_RTOL`` times that scale, and
+    evaluation starts from the first genuine order so the slope is
+    measurable at small dt.
     """
     grid = [float(x) for x in dt_grid]
     if len(grid) < 4 or any(x == 0 for x in grid):
@@ -508,20 +394,19 @@ def residual_order(lam_series: DtSeries, p: EquationParams, dt_grid) -> float:
     mags = sorted(abs(x) for x in grid)
     if mags[-1] / mags[0] < 99.0:
         raise DomainError("degenerate grid: must span at least two decades")
-    t0 = lam_series.anchor.t0
-    W = max(48, 3 * (lam_series.valid_order + 2))
-    r, scale = _residual_series(lam_series.trusted(), t0, p, W)
-    m = None
-    for k, (rk, sk) in enumerate(zip(r, scale)):
-        if abs(rk) > _DUST_RTOL * max(1.0, sk):
-            m = k
-            break
+    r = [0.0] * (work_order + 1)
+    scale = [0.0] * (work_order + 1)
+    for t in terms:
+        for k, c in enumerate(_poly.ptrim(t, work_order)):
+            r[k] += c
+            scale[k] += abs(c)
+    m = next((k for k, (rk, sk) in enumerate(zip(r, scale)) if abs(rk) > _DUST_RTOL * max(1.0, sk)), None)
     if m is None:
         raise DomainError("residual vanishes to working precision on this series")
     tail = r[m:]
     xs, ys = [], []
     for dt in grid:
-        val = _poly.peval(tail, dt) * dt**m
+        val = _poly.peval(tail, dt) * dt ** (m + power_offset)
         if val != 0.0:
             xs.append(math.log(abs(dt)))
             ys.append(math.log(abs(val)))
@@ -530,3 +415,16 @@ def residual_order(lam_series: DtSeries, p: EquationParams, dt_grid) -> float:
     num = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
     den = sum((x - xbar) ** 2 for x in xs)
     return num / den
+
+
+def residual_order(lam_series: DtSeries, p: EquationParams, dt_grid) -> float:
+    """Log-log slope of the equation residual of an assembled root expansion.
+
+    The residual lam'' - RHS is expanded as a power series (derivatives by
+    exact series differentiation, the 1/lam terms by truncated reciprocal)
+    and its slope fitted on the genuine tail by ``_residual_slope``.  The
+    grid needs at least four nonzero dt values spanning two decades.
+    """
+    W = max(48, 3 * (lam_series.valid_order + 2))
+    terms = _residual_terms(lam_series.trusted(), lam_series.anchor.t0, p, W)
+    return _residual_slope(terms, W, dt_grid, 0)

@@ -131,9 +131,7 @@ def test_step_size_underflow_raises(monkeypatch):
 
 def test_hamiltonian_step_size_underflow_raises(monkeypatch):
     # y' = y^2, y(0) = 1 blows up at t = 1
-    from p3prime import equation
-
-    monkeypatch.setattr(equation, "hamilton_rhs", lambda pt, p, s: (pt.lam**2, 0.0))
+    monkeypatch.setattr(ode, "hamilton_rhs", lambda pt, p, s: (pt.lam**2, 0.0))
     with pytest.raises(IntegrationError, match=r"Hamiltonian integration failed near t=0\.9999"):
         integrate_hamiltonian(P, SignSwitch(1), 0.0, 1.0, 0.0, (0.0, 2.0))
 
