@@ -1,4 +1,4 @@
-"""Dormand-Prince 5(4) integration on Python floats.
+"""Dormand-Prince 5(4) integration on Python floats, and Brent's root finder.
 
 This is scipy's ``solve_ivp(method="RK45", dense_output=True)`` written for
 the small systems the verifier integrates (two components), where numpy's
@@ -11,6 +11,9 @@ in another order than numpy's dot products, so results differ from scipy's
 in rounding.  The step controller carries that rounding of the error
 estimate into the step sizes, and the mesh drifts by about 1e-10 relative;
 the numbers of accepted steps and right-hand-side calls stay scipy's.
+
+Events are located with ``brentq``, a port of scipy's that gives its
+iterates bit for bit; ``ode`` polishes roots with it too.
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import mul
-
-from scipy.optimize import brentq
 
 EPS = 2.0**-52
 SAFETY = 0.9
@@ -55,6 +56,68 @@ MESSAGES = {
     0: "The solver successfully reached the end of the integration interval.",
     1: "A termination event occurred.",
 }
+
+
+def brentq(f, a, b, xtol=2e-12, rtol=4 * EPS, maxiter=100):
+    """A root of f in [a, b], where f(a) and f(b) differ in sign.
+
+    A line-for-line port of scipy's ``brentq`` (``Zeros/brentq.c``, after
+    Brent 1973, Ch. 4): the same iterates, defaults and exceptions.  It
+    raises ValueError when f(a) and f(b) share a sign or f returns NaN, and
+    RuntimeError when ``maxiter`` iterations end without convergence.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < 4 * EPS:
+        raise ValueError(f"rtol too small ({rtol:g} < {4 * EPS:g})")
+
+    def call(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre = call(xpre)
+    fcur = call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 def _rms(v):

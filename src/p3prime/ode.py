@@ -15,17 +15,20 @@ that side and leaves a pole marker.
 The stepping runs on ``_rk.solve_ivp``, a pure-Python Dormand-Prince 5(4)
 kernel with scipy RK45's step control and dense output.  Each solver
 segment keeps its step count, its right-hand-side calls and why it ended.
+Roots are polished with ``_rk.brentq``, a port of scipy's, and the crossing
+fit runs on ``least_squares``, a two-unknown Levenberg-Marquardt solver, so
+the module needs no scipy at run time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from operator import mul
 
 import numpy as np
-from scipy.optimize import brentq, least_squares
 
-from ._rk import DenseOutput, solve_ivp
+from ._rk import EPS, DenseOutput, brentq, solve_ivp
 from .equation import (
     DomainError,
     EquationParams,
@@ -46,6 +49,9 @@ _EPS_SWITCH_REL = 1e-4  # |lam| < this * |t| triggers the crossing protocol
 _EPS_RESUME_REL = 1e-2
 _POLE_CAP = 1e6
 _FIT_ORDER = 5  # cubic-factor validity used by the crossing fit
+_SQRT_EPS = math.sqrt(EPS)  # relative forward-difference step of the fit's Jacobian
+_FIT_XTOL = 1e-15  # relative size, in Jacobian-scaled units, of the step that ends the fit
+_FIT_MAX_NFEV = 200  # residual calls before the fit gives up
 
 
 class IntegrationError(RuntimeError):
@@ -71,6 +77,8 @@ class CrossingRecord:
     lam3: float
     zone: tuple  # (lo, hi) excluded from numerical data
     series: DtSeries  # assembled lam expansion anchored at t0
+    fit_nfev: int  # residual calls of the crossing fit, Jacobians included
+    fit_residual: float  # 2-norm of the fit's residuals at (t0, lam3)
 
 
 @dataclass(frozen=True)
@@ -152,8 +160,79 @@ class DenseSolution:
         return np.unique(ts)
 
 
+def _dot(a, b):
+    return math.fsum(map(mul, a, b))
+
+
+@dataclass(frozen=True)
+class FitResult:
+    """Outcome of ``least_squares``; the field names are scipy's."""
+
+    x: list
+    fun: list  # residuals at x
+    success: bool
+    message: str
+    nfev: int  # residual calls, the finite-difference Jacobians' included
+
+
+def least_squares(fun, x0):
+    """Minimise the sum of squares of fun(x) over two unknowns.
+
+    Levenberg-Marquardt (Marquardt 1963): damped Gauss-Newton steps on the
+    normal equations of the Jacobian with unit-norm columns, J = Js D, which
+    are (Js^T Js + mu I) D dx = -Js^T r.  The Jacobian is a forward
+    difference at steps of sqrt(eps) |x_j| (sqrt(eps) where x_j = 0), as in
+    MINPACK's ``fdjac2``.  A step that lowers the cost is taken and divides
+    mu by 3; one that does not is refused and multiplies mu by 2, 4, 8, ...
+    in turn (Nielsen 1999).  Converged when a proposed step satisfies
+    |D dx| <= xtol (xtol + |D x|) with xtol = 1e-15; unsuccessful when the
+    damped system is singular or 200 residual calls run out.
+    """
+    x = [float(v) for v in x0]
+    r = fun(x)
+    nfev = 1
+    cost = _dot(r, r)
+    if not math.isfinite(cost):
+        return FitResult(x, r, False, "The residuals at the starting point are not finite.", nfev)
+    mu, nu = 1e-6, 2.0
+    while nfev + 2 <= _FIT_MAX_NFEV:
+        cols = []
+        for j, xj in enumerate(x):
+            xh = list(x)
+            xh[j] = xj + (_SQRT_EPS * abs(xj) or _SQRT_EPS)
+            h = xh[j] - xj
+            cols.append([(b - a) / h for a, b in zip(r, fun(xh))])
+        nfev += 2
+        du, dv = (math.hypot(*col) or 1.0 for col in cols)
+        u, v = [c / du for c in cols[0]], [c / dv for c in cols[1]]
+        a00, a11, a01, g0, g1 = _dot(u, u), _dot(v, v), _dot(u, v), _dot(u, r), _dot(v, r)
+        x_norm = math.hypot(du * x[0], dv * x[1])
+        while True:
+            det = (a00 + mu) * (a11 + mu) - a01 * a01
+            if not det > 0:
+                return FitResult(x, r, False, "The damped normal equations are singular.", nfev)
+            y0 = ((a11 + mu) * g0 - a01 * g1) / -det
+            y1 = ((a00 + mu) * g1 - a01 * g0) / -det
+            if math.hypot(y0, y1) <= _FIT_XTOL * (_FIT_XTOL + x_norm):
+                return FitResult(x, r, True, "The step fell below xtol.", nfev)
+            if nfev >= _FIT_MAX_NFEV:
+                break
+            x_new = [x[0] + y0 / du, x[1] + y1 / dv]
+            r_new = fun(x_new)
+            nfev += 1
+            cost_new = _dot(r_new, r_new)
+            if cost_new < cost:
+                x, r, cost = x_new, r_new, cost_new
+                mu, nu = mu / 3, 2.0
+                break
+            mu *= nu
+            nu *= 2
+    return FitResult(x, r, False, "The maximum number of function evaluations is exceeded.", nfev)
+
+
 def _fit_crossing(p, sgn, pts):
-    """Fit (t0, lam3) of the local root expansion to (t, lam, lam') samples."""
+    """Fit (t0, lam3) of the local root expansion to (t, lam, lam') samples;
+    returns the solver's result, whose ``x`` is (t0, lam3)."""
     t_s, lam_s, lamdot_s = pts[0]
     t0_guess = t_s - lam_s / lamdot_s
     lam3_guess = 0.0
@@ -177,12 +256,10 @@ def _fit_crossing(p, sgn, pts):
             out.append(series_eval_derivative(lam, t - t0) - ld)
         return out
 
-    res = least_squares(
-        residuals, [t0_guess, lam3_guess], xtol=1e-15, ftol=1e-15, gtol=1e-15, method="lm"
-    )
+    res = least_squares(residuals, [t0_guess, lam3_guess])
     if not res.success:
         raise IntegrationError(f"crossing fit near t={t_s} did not converge: {res.message}")
-    return float(res.x[0]), float(res.x[1])
+    return res
 
 
 def _crossing_from_stop(p, inner, t_s, t_prev_cov) -> CrossingRecord:
@@ -201,10 +278,11 @@ def _crossing_from_stop(p, inner, t_s, t_prev_cov) -> CrossingRecord:
         if abs(t_w - t_s) > 10 * _EPS_SWITCH_REL * abs(t0_est):
             lam_w, lamdot_w = inner(t_w)
             pts.append((t_w, lam_w, lamdot_w))
-    t0_fit, lam3_fit = _fit_crossing(p, sgn, pts)
+    fit = _fit_crossing(p, sgn, pts)
+    t0_fit, lam3_fit = fit.x
     a = RootAnchor(t0_fit, SignSwitch(sgn), lam3_fit)
     series = assemble_lambda(a, taylor_at_root(a, p, _FIT_ORDER), p)
-    return CrossingRecord(t0_fit, sgn, lam3_fit, (0.0, 0.0), series)
+    return CrossingRecord(t0_fit, sgn, lam3_fit, (0.0, 0.0), series, fit.nfev, math.hypot(*fit.fun))
 
 
 def integrate(
@@ -289,9 +367,7 @@ def integrate(
             z = _EPS_RESUME_REL * abs(crossing.t0)
             t_r = crossing.t0 + direction * z
             zone = (min(t_s, t_r), max(t_s, t_r))
-            sol.crossings.append(
-                CrossingRecord(crossing.t0, crossing.sgn, crossing.lam3, zone, crossing.series)
-            )
+            sol.crossings.append(replace(crossing, zone=zone))
             if (t_end - t_r) * direction <= 0:
                 return
             dt_r = t_r - crossing.t0

@@ -160,8 +160,8 @@ def test_roots_csv_format(tmp_path):
     assert open(base + ".csv").readline().strip() == "t0,sgn,lam3"
 
 
-def test_cli_import_skips_scipy_integrate():
-    # the RK kernel is pure Python; scipy.optimize stays for brentq and least_squares
+def test_cli_import_loads_no_scipy():
+    # the RK kernel, brentq and the crossing fit are pure Python
     src = str(Path(p3prime.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
@@ -170,5 +170,4 @@ def test_cli_import_skips_scipy_integrate():
     )
     modules = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
     assert "p3prime.cli" in modules
-    assert "scipy.optimize" in modules
-    assert not [m for m in modules if m == "scipy.integrate" or m.startswith("scipy.integrate.")]
+    assert not [m for m in modules if m == "scipy" or m.startswith("scipy.")]

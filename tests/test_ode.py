@@ -1,10 +1,13 @@
 """Numerical verifier: integration, root crossing, scans, symmetry."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
+from scipy.optimize import least_squares as scipy_least_squares
 
-from p3prime import DomainError, EquationParams, RootAnchor, SignSwitch, mu_from_lambda, ode
+from p3prime import DomainError, EquationParams, RootAnchor, SignSwitch, acceptance, mu_from_lambda, ode
 from p3prime.ode import (
     IntegrationError,
     compare_series,
@@ -12,6 +15,7 @@ from p3prime.ode import (
     integrate,
     integrate_hamiltonian,
     lam3_at_root,
+    least_squares,
     residual_scan,
     root_slope,
     symmetry_check,
@@ -119,6 +123,64 @@ def test_failed_crossing_fit_raises(monkeypatch):
     # the worked-example data crosses the root near 0.511 going left
     with pytest.raises(IntegrationError, match="crossing fit near t=0.51.*maximum number"):
         integrate(P, 0.833651, 0.288298, 0.374531, (0.4, 0.9))
+
+
+# (t0, lam3) of the fit against scipy's MINPACK fit, scaled by max(1, |value|):
+# at most 1.4e-14 at the worked example's six roots.  Both stop at the noise
+# floor of the residuals, which lies higher at some roots of other data: over
+# 277 fits on seeded trajectories lam3 differed by up to 6.9e-12.
+FIT_TOL = 1e-13
+
+
+@pytest.fixture(scope="module")
+def worked_example_fits():
+    """(residual function, start, result) of each crossing fit of the worked
+    example, with the residual calls each fit made."""
+    fits = []
+
+    def recording(fun, x0):
+        calls = [0]
+
+        def counted(x):
+            calls[0] += 1
+            return fun(x)
+
+        fits.append((fun, list(x0), least_squares(counted, x0), calls))
+        return fits[-1][2]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ode, "least_squares", recording)
+        sol = integrate(acceptance.REF_PARAMS, *acceptance.REF_CAUCHY, acceptance.REF_SPAN)
+    assert len(fits) == len(sol.crossings) == 6
+    return fits
+
+
+def test_crossing_fit_matches_scipy_least_squares(worked_example_fits):
+    for fun, x0, res, _ in worked_example_fits:
+        ref = scipy_least_squares(fun, x0, xtol=1e-15, ftol=1e-15, gtol=1e-15, method="lm")
+        assert res.success and ref.success
+        for mine, theirs in zip(res.x, ref.x):
+            assert abs(mine - theirs) <= FIT_TOL * max(1.0, abs(theirs))
+
+
+def test_crossing_fit_counts_every_residual_call(worked_example_fits):
+    for _, _, res, calls in worked_example_fits:
+        assert res.nfev == calls[0]
+        assert res.nfev <= 15  # scipy's MINPACK fit averaged 15.1 calls
+
+
+def test_least_squares_that_cannot_converge_reports_failure():
+    # the cost exp(-2 x0) + exp(-2 x1) falls forever as x grows: no minimum
+    res = least_squares(lambda x: [math.exp(-x[0]), math.exp(-x[1])], [0.0, 1.0])
+    assert not res.success
+    assert 197 < res.nfev <= 200  # the budget of 200 calls ran out
+    assert "maximum number of function evaluations" in res.message
+
+
+def test_crossings_record_fit_calls_and_residual(appendix_solution):
+    for c in appendix_solution.crossings:
+        assert isinstance(c.fit_nfev, int) and c.fit_nfev > 0
+        assert math.isfinite(c.fit_residual) and c.fit_residual > 0
 
 
 def test_step_size_underflow_raises(monkeypatch):

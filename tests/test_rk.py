@@ -1,11 +1,15 @@
-"""The Dormand-Prince 5(4) kernel against scipy's RK45 as the oracle."""
+"""The Dormand-Prince 5(4) kernel against scipy's RK45, and the brentq port
+against scipy's brentq, as the oracles."""
+
+import math
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp as scipy_solve_ivp
+from scipy.optimize import brentq as scipy_brentq
 
 from p3prime import EquationParams, RootAnchor, SignSwitch
-from p3prime._rk import _interpolate, solve_ivp
+from p3prime._rk import EPS, _interpolate, brentq, solve_ivp
 from p3prime.equation import rhs_scalar
 from p3prime.poles import root_to_pole
 
@@ -133,3 +137,78 @@ def test_step_size_underflow_fails_like_scipy():
 def test_empty_span_rejected():
     with pytest.raises(ValueError):
         solve_ivp(_rhs(P), (1.0, 1.0), [1.0, 0.0])
+
+
+# the tolerances p3prime passes: event location in the kernel, the back-off
+# to the switch point and the root polish of ode.find_roots
+BRENTQ_TOLS = {
+    "event": lambda t: {"xtol": 4 * EPS, "rtol": 4 * EPS},
+    "switch_point": lambda t: {"xtol": 1e-15 * max(1.0, abs(t))},
+    "root_polish": lambda t: {"xtol": 1e-14 * max(1.0, abs(t))},
+}
+
+
+def _brentq_outcome(solver, f, a, b, **kw):
+    """The points f was called at and the root as a hex string, or the
+    exception's type and message."""
+    calls = []
+
+    def g(x):
+        calls.append(float(x).hex())
+        return f(x)
+
+    try:
+        return calls, float(solver(g, a, b, **kw)).hex()
+    except (ValueError, RuntimeError) as exc:
+        return calls, (type(exc).__name__, str(exc))
+
+
+def _brackets(seed, n=300):
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        c0, c1, c2, c3 = rng.uniform(-2, 2, 4).tolist()
+        a, b = float(rng.uniform(-3, 0)), float(rng.uniform(0.1, 3))
+        yield (lambda x: c0 + c1 * x + c2 * math.sin(3 * x) + c3 * x**3), a, b
+
+
+@pytest.mark.parametrize("tol", sorted(BRENTQ_TOLS))
+def test_brentq_matches_scipy_bit_for_bit(tol):
+    outcomes = set()
+    for f, a, b in _brackets(seed=2024):
+        mine = _brentq_outcome(brentq, f, a, b, **BRENTQ_TOLS[tol](b))
+        ref = _brentq_outcome(scipy_brentq, f, a, b, **BRENTQ_TOLS[tol](b))
+        assert mine == ref
+        outcomes.add(type(ref[1]))
+    assert outcomes == {str, tuple}  # both roots and same-sign brackets occurred
+
+
+@pytest.mark.parametrize("tol", sorted(BRENTQ_TOLS))
+def test_brentq_matches_scipy_on_a_kernel_interpolant(tol):
+    # the near-switch event inside the step where the worked example's run stops
+    res = solve_ivp(_rhs(P), (WORKED[0], 2.0), WORKED[1], rtol=RTOL, atol=ATOL, events=ALL_EVENTS)
+    piece, t_new = res.sol.pieces[-1], res.t[-1]
+    f = lambda s: ev_near(s, _interpolate(piece, s))
+    t, t_end = piece[0], piece[0] + piece[1]
+    assert res.t_events[1] == [t_new] and t < t_new < t_end
+    mine = _brentq_outcome(brentq, f, t, t_end, **BRENTQ_TOLS[tol](t_end))
+    assert isinstance(mine[1], str)  # a root, not an exception
+    assert mine == _brentq_outcome(scipy_brentq, f, t, t_end, **BRENTQ_TOLS[tol](t_end))
+
+
+def test_brentq_same_sign_bracket_raises_like_scipy():
+    f = lambda x: x * x + 1
+    with pytest.raises(ValueError) as mine:
+        brentq(f, 0.0, 1.0)
+    with pytest.raises(ValueError) as ref:
+        scipy_brentq(f, 0.0, 1.0)
+    assert str(mine.value) == str(ref.value) == "f(a) and f(b) must have different signs"
+
+
+def test_brentq_exhausted_maxiter_raises_like_scipy():
+    f = lambda x: x**3 - 2
+    with pytest.raises(RuntimeError) as mine:
+        brentq(f, 0.0, 3.0, maxiter=3)
+    with pytest.raises(RuntimeError) as ref:
+        scipy_brentq(f, 0.0, 3.0, maxiter=3)
+    assert str(mine.value) == str(ref.value)
+    assert brentq(f, 0.0, 3.0) == scipy_brentq(f, 0.0, 3.0)
