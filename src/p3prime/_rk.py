@@ -6,11 +6,18 @@ per-call overhead on every stage of every step costs more than the
 arithmetic.  It keeps scipy's behaviour: the Dormand-Prince (1980) tableau,
 the initial step and the step-size controller of Hairer-Norsett-Wanner
 (Sec. II.4), the quartic dense output of Shampine (1986), the segment choice
-of ``OdeSolution`` at mesh nodes and the terminal-event handling.  Sums run
-in another order than numpy's dot products, so results differ from scipy's
-in rounding.  The step controller carries that rounding of the error
-estimate into the step sizes, and the mesh drifts by about 1e-10 relative;
-the numbers of accepted steps and right-hand-side calls stay scipy's.
+of ``OdeSolution`` at mesh nodes and the terminal-event handling.  The dense
+output is lazy: an accepted step keeps its stage values, and the quartic's
+coefficients are formed on the first evaluation in that step, with the sums
+scipy's eager form would make, so most steps, which are never evaluated,
+never form them.  Next to the mesh ``ts`` the solution keeps the accepted
+states ``ys``, which callers can read instead of interpolating at a node.
+
+Sums run in another order than numpy's dot products, so results differ
+from scipy's in rounding.  The step controller carries that rounding of the
+error estimate into the step sizes, and the mesh drifts by about 1e-10
+relative; the numbers of accepted steps and right-hand-side calls stay
+scipy's.
 
 Events are located with ``brentq``, a port of scipy's that gives its
 iterates bit for bit; ``ode`` polishes roots with it too.
@@ -19,6 +26,7 @@ iterates bit for bit; ``ode`` polishes roots with it too.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import mul
@@ -125,8 +133,17 @@ def _rms(v):
 
 
 def _interpolate(piece, t):
-    """State at t from one step's quartic interpolant."""
+    """State at t from one step's quartic interpolant.
+
+    A piece is ``[t_old, h, y_old, q]``.  Until its first use, q holds the
+    step's stage values, component by component, in one ``array('d')``;
+    the first use replaces them with the coefficients of x, x**2, x**3 and
+    x**4 per component.
+    """
     t_old, h, y_old, q = piece
+    if type(q) is array:
+        n = len(P)  # stages
+        q = piece[3] = [[sum(map(mul, pc, q[i : i + n])) for pc in P_COLS] for i in range(0, len(q), n)]
     x = (t - t_old) / h
     x2 = x * x
     x3 = x2 * x
@@ -140,10 +157,13 @@ class DenseOutput:
     At a mesh node the step with the lower index, the one ending there, is
     used in either sweep direction, as in scipy's ``OdeSolution``: bisect
     left on an ascending mesh, right on the reversed descending one.
+    ``ys[k]`` is the accepted state at ``ts[k]``; after a terminal event the
+    last entry is the interpolated state at the event time, ``self(ts[-1])``.
     """
 
-    def __init__(self, ts, pieces):
+    def __init__(self, ts, ys, pieces):
         self.ts = ts
+        self.ys = ys
         self.pieces = pieces
         self._ascending = ts[-1] >= ts[0]
         self._ts_sorted = ts if self._ascending else ts[::-1]
@@ -200,7 +220,7 @@ def solve_ivp(fun, t_span, y0, rtol=1e-3, atol=1e-6, events=()):
     f = fun(t, y)
     h_abs = _initial_step(fun, t, y, f, t_bound, direction, rtol, atol)
     nfev = 2
-    ts, pieces = [t], []
+    ts, ys, pieces = [t], [y], []
     ev_dirs = [getattr(ev, "direction", 0) for ev in events]
     g = [ev(t, y) for ev in events]
     t_events = [[] for _ in events]
@@ -211,7 +231,7 @@ def solve_ivp(fun, t_span, y0, rtol=1e-3, atol=1e-6, events=()):
         rejected = False
         while True:
             if h_abs < min_step:
-                return IvpResult(ts, DenseOutput(ts, pieces), -1, MESSAGES[-1], t_events, nfev)
+                return IvpResult(ts, DenseOutput(ts, ys, pieces), -1, MESSAGES[-1], t_events, nfev)
             t_new = t + h_abs * direction
             if direction * (t_new - t_bound) > 0:
                 t_new = t_bound
@@ -238,7 +258,7 @@ def solve_ivp(fun, t_span, y0, rtol=1e-3, atol=1e-6, events=()):
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
             rejected = True
 
-        piece = (t, h, y, [[sum(map(mul, pc, k)) for pc in P_COLS] for k in columns])
+        piece = [t, h, y, array("d", sum(columns, ()))]
         pieces.append(piece)
         if direction * (t_new - t_bound) >= 0:
             status = 0
@@ -268,5 +288,8 @@ def solve_ivp(fun, t_span, y0, rtol=1e-3, atol=1e-6, events=()):
             pieces.pop()
         else:
             ts.append(t_new)
+            ys.append(y_new)
+        if status == 1:
+            ys[-1] = _interpolate(pieces[-1], t_new)
         t, y, f = t_new, y_new, f_new
-    return IvpResult(ts, DenseOutput(ts, pieces), status, MESSAGES[status], t_events, nfev)
+    return IvpResult(ts, DenseOutput(ts, ys, pieces), status, MESSAGES[status], t_events, nfev)

@@ -13,18 +13,22 @@ Poles are not crossed: when |lam| exceeds a cap the integration stops on
 that side and leaves a pole marker.
 
 The stepping runs on ``_rk.solve_ivp``, a pure-Python Dormand-Prince 5(4)
-kernel with scipy RK45's step control and dense output.  Each solver
-segment keeps its step count, its right-hand-side calls and why it ended.
-Roots are polished with ``_rk.brentq``, a port of scipy's, and the crossing
-fit runs on ``least_squares``, a two-unknown Levenberg-Marquardt solver, so
-the module needs no scipy at run time.
+kernel with scipy RK45's step control and a lazily formed dense output.
+Each solver segment keeps its step count, its right-hand-side calls and why
+it ended; ``integrate`` logs them, and each crossing's fit, one line each at
+DEBUG (``P3_LOG=debug``).  Roots are polished with ``_rk.brentq``, a port
+of scipy's, and the crossing fit runs on ``least_squares``, a two-unknown
+Levenberg-Marquardt solver, so the module needs no scipy at run time.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +56,20 @@ _FIT_ORDER = 5  # cubic-factor validity used by the crossing fit
 _SQRT_EPS = math.sqrt(EPS)  # relative forward-difference step of the fit's Jacobian
 _FIT_XTOL = 1e-15  # relative size, in Jacobian-scaled units, of the step that ends the fit
 _FIT_MAX_NFEV = 200  # residual calls before the fit gives up
+
+
+def _debug_log():
+    """This module's logger if it logs at DEBUG, else None.
+
+    Only code that configures logging imports it (the CLI does), so while
+    ``logging`` is not imported nothing can be enabled, and the module
+    neither imports it nor pays its memory.
+    """
+    logging = sys.modules.get("logging")
+    if logging is None:
+        return None
+    log = logging.getLogger(__name__)
+    return log if log.isEnabledFor(logging.DEBUG) else None
 
 
 class IntegrationError(RuntimeError):
@@ -97,9 +115,27 @@ class Segment:
 _EVENT_ENDS = ("root", "near_root", "pole_cap")
 
 
+class _Index(NamedTuple):
+    """``DenseSolution``'s lookup table, for the lists' lengths in ``key``."""
+
+    key: tuple  # (len(segments), len(crossings))
+    edges: list  # sorted distinct edges of zones and segments
+    at: list  # at[i]: the piece holding t == edges[i], or None
+    between: list  # between[i]: the piece holding edges[i-1] < t < edges[i], or None
+    nodes: list  # sorted distinct mesh nodes of all segments
+
+
 @dataclass
 class DenseSolution:
-    """Piecewise dense P-III' solution: solver segments plus crossing zones."""
+    """Piecewise dense P-III' solution: solver segments plus crossing zones.
+
+    A lookup at t is answered by the first crossing whose zone holds t, else
+    by the first segment (by ``lo``) whose [lo, hi] holds t, else by the
+    nearest segment if t lies within 1e-9 (relative) of its edge; otherwise
+    it raises DomainError.  The first two rules are tabulated once, on the
+    first lookup, over the sorted zone and segment edges, so a lookup
+    bisects; the table is rebuilt if segments or crossings are added.
+    """
 
     params: EquationParams
     rel_tol: float
@@ -107,6 +143,7 @@ class DenseSolution:
     segments: list = field(default_factory=list)  # Segment records
     crossings: list = field(default_factory=list)
     pole_markers: list = field(default_factory=list)  # (t, side) where |lam| hit the cap
+    _index: _Index | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def t_min(self) -> float:
@@ -116,19 +153,36 @@ class DenseSolution:
     def t_max(self) -> float:
         return max(seg.hi for seg in self.segments)
 
+    def _indexed(self) -> _Index:
+        key = (len(self.segments), len(self.crossings))
+        if self._index is None or self._index.key != key:
+            spans = [(*c.zone, c) for c in self.crossings] + [(seg.lo, seg.hi, seg.sol) for seg in self.segments]
+            edges = sorted({e for lo, hi, _ in spans for e in (lo, hi)})
+            at = [next((obj for lo, hi, obj in spans if lo <= e <= hi), None) for e in edges]
+            bounds = [-math.inf, *edges, math.inf]
+            between = [
+                next((obj for lo, hi, obj in spans if lo <= a and b <= hi), None)
+                for a, b in zip(bounds, bounds[1:])
+            ]
+            nodes = sorted({t for seg in self.segments for t in seg.sol.ts})
+            self._index = _Index(key, edges, at, between, nodes)
+        return self._index
+
+    def _lookup(self, t: float):
+        """The crossing record or segment interpolant that holds t, or None."""
+        _, edges, at, between, _ = self._indexed()
+        i = bisect_left(edges, t)
+        return at[i] if i < len(edges) and edges[i] == t else between[i]
+
     def covers(self, t: float) -> bool:
-        if any(seg.lo <= t <= seg.hi for seg in self.segments):
-            return True
-        return any(c.zone[0] <= t <= c.zone[1] for c in self.crossings)
+        return self._lookup(t) is not None
 
     def _locate(self, t: float):
-        for c in self.crossings:
-            if c.zone[0] <= t <= c.zone[1]:
-                return c
+        obj = self._lookup(t)
+        if obj is not None:
+            return obj
         best = None
         for seg in self.segments:
-            if seg.lo <= t <= seg.hi:
-                return seg.sol
             gap = min(abs(t - seg.lo), abs(t - seg.hi))
             if best is None or gap < best[0]:
                 best = (gap, seg.sol)
@@ -156,8 +210,7 @@ class DenseSolution:
 
     def mesh_nodes(self) -> np.ndarray:
         """Accepted-step abscissae of all segments, sorted."""
-        ts = np.concatenate([seg.sol.ts for seg in self.segments])
-        return np.unique(ts)
+        return np.array(self._indexed().nodes)
 
 
 def _dot(a, b):
@@ -383,6 +436,18 @@ def integrate(
         sweep(t_init, (lam0, lamdot0), lo)
     sol.segments.sort(key=lambda seg: seg.lo)
     sol.crossings.sort(key=lambda c: c.t0)
+    log = _debug_log()
+    if log is not None:
+        for seg in sol.segments:
+            log.debug(
+                "segment [%.17g, %.17g]: %d steps, %d rhs calls, end %s",
+                seg.lo, seg.hi, seg.steps, seg.rhs_calls, seg.end,
+            )
+        for c in sol.crossings:
+            log.debug(
+                "crossing t0=%.17g lam3=%.17g fit_nfev=%d fit_residual=%.3e",
+                c.t0, c.lam3, c.fit_nfev, c.fit_residual,
+            )
     return sol
 
 
@@ -420,13 +485,30 @@ def root_slope(sol: DenseSolution, t0: float) -> float:
     return (4 * s2 - s1) / 3
 
 
+def _node_lams(sol: DenseSolution) -> tuple[list, list]:
+    """The sorted distinct mesh nodes and lam at each, without interpolating:
+    the crossing series where a zone holds the node, as ``state`` reads it,
+    else the accepted state the first segment (by ``lo``) with that node
+    kept, which differs from ``state``'s interpolant only in rounding."""
+    lam_at = {}
+    for seg in sol.segments:
+        for t, y in zip(seg.sol.ts, seg.sol.ys):
+            lam_at.setdefault(t, y[0])
+    ts = sorted(lam_at)
+    vals = [lam_at[t] for t in ts]
+    for c in reversed(sol.crossings):  # so the first zone holding a node sets its value
+        for i in range(bisect_left(ts, c.zone[0]), bisect_right(ts, c.zone[1])):
+            vals[i] = series_eval(c.series, ts[i] - c.t0)
+    return ts, vals
+
+
 def find_roots(sol: DenseSolution) -> list[RootInfo]:
     """All roots of lam in the computed span, from the crossing records plus
-    a sign-change scan of the accepted mesh (bisection-refined; the scan is
-    a safety net and is normally empty)."""
+    a sign-change scan of lam at the mesh nodes (``_node_lams``), each
+    change polished with ``brentq`` on ``lam``; the scan is a safety net
+    and is normally empty."""
     roots = [RootInfo(c.t0, c.sgn) for c in sol.crossings]
-    ts = sol.mesh_nodes()
-    vals = np.array([sol.lam(t) for t in ts])
+    ts, vals = _node_lams(sol)
     for i in range(len(ts) - 1):
         if vals[i] == 0.0 or vals[i] * vals[i + 1] >= 0:
             continue
@@ -451,7 +533,11 @@ def lam3_at_root(sol: DenseSolution, root: RootInfo, p: EquationParams) -> float
     t0 = root.t0
     w = 0.1 * abs(t0)
     excl = 1e-3 * max(1.0, abs(t0))
-    nodes = [t for t in sol.mesh_nodes() if abs(t - t0) <= w and sol.covers(t)]
+    # fl(t - t0) is monotone in t, so the window is one run of the sorted
+    # mesh: bisect for a run twice as wide, then apply the exact test
+    mesh = sol._indexed().nodes
+    near = mesh[bisect_left(mesh, t0 - 2 * w) : bisect_right(mesh, t0 + 2 * w)]
+    nodes = [t for t in near if abs(t - t0) <= w and sol.covers(t)]
     kept = []
     for t in nodes:
         lam, lamdot = sol.state(t)

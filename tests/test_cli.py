@@ -1,6 +1,7 @@
 """CLI surface: flag validation, determinism, config file, round-trips."""
 
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -147,6 +148,16 @@ def test_analysis_commands_run(tmp_path, capsys):
     assert run(["symmetry", *common]) == 0
     out = capsys.readouterr().out
     assert "max |t/lambda - lambda_swapped|" in out
+
+
+def test_debug_log_leaves_integrate_files_unchanged(tmp_path, caplog):
+    common = ["--chi0", "-0.811597", "--chiinf", "-0.0550042", "--cauchy", "0.8:1.0:0.5", "--span", "0.6:1.3"]
+    assert run(["integrate", *common, "--out", str(tmp_path / "quiet")]) == 0
+    with caplog.at_level(logging.DEBUG, logger="p3prime"):
+        assert run(["integrate", *common, "--out", str(tmp_path / "debug")]) == 0
+    messages = [r.getMessage() for r in caplog.records if r.name == "p3prime.ode"]
+    assert messages and all(m.startswith("segment [") for m in messages)  # no root in (0.6, 1.3)
+    assert (tmp_path / "debug.csv").read_bytes() == (tmp_path / "quiet.csv").read_bytes()
 
 
 def test_roots_csv_format(tmp_path):

@@ -1,15 +1,23 @@
 """Numerical verifier: integration, root crossing, scans, symmetry."""
 
+import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
 from scipy.optimize import least_squares as scipy_least_squares
 
-from p3prime import DomainError, EquationParams, RootAnchor, SignSwitch, acceptance, mu_from_lambda, ode
+from p3prime import DomainError, EquationParams, RootAnchor, SignSwitch, _rk, acceptance, mu_from_lambda, ode
 from p3prime.ode import (
+    CrossingRecord,
+    DenseSolution,
     IntegrationError,
+    Segment,
     compare_series,
     find_roots,
     integrate,
@@ -324,14 +332,19 @@ def test_symmetry_rejects_grid_on_zero(appendix_solution, appendix_roots):
         symmetry_check(appendix_solution, P, [appendix_roots[4].t0])
 
 
-def test_pole_marker_on_blowup():
-    # heading into a pole stops at the cap and records the side
+def _pole_capped_solution():
+    """A run launched just left of the simple pole at 0.7, over (0.55, 0.75)."""
     from p3prime.poles import root_to_pole
 
     a = RootAnchor(0.7, SignSwitch(1), 1.5)
     le = root_to_pole(a, P, 6)
     dt0 = -0.05 * a.t0
-    sol = integrate(P, a.t0 + dt0, le.eval(dt0), le.eval_derivative(dt0), (0.55, 0.75))
+    return a, integrate(P, a.t0 + dt0, le.eval(dt0), le.eval_derivative(dt0), (0.55, 0.75))
+
+
+def test_pole_marker_on_blowup():
+    # heading into a pole stops at the cap and records the side
+    a, sol = _pole_capped_solution()
     assert len(sol.pole_markers) == 1
     assert [seg.end for seg in sol.segments] == ["span_end", "pole_cap"]  # left sweep, right sweep
     t_p, side = sol.pole_markers[0]
@@ -351,3 +364,138 @@ def test_third_derivative_curve_readback(appendix_solution):
     read = float(np.interp(t_c, grid, curve))
     direct = third_derivative(t_c, *sol.state(t_c), P)
     assert read == pytest.approx(direct, rel=1e-3)
+
+
+def test_find_roots_scan_polishes_a_sign_change_between_nodes():
+    # no crossing records: only the node scan and its brentq polish can find
+    # the root of lam'' = -lam, lam = sin t, at pi
+    res = _rk.solve_ivp(lambda t, y: (y[1], -y[0]), (1.0, 5.0), [math.sin(1.0), math.cos(1.0)],
+                        rtol=1e-10, atol=1e-12)
+    sol = DenseSolution(P, 1e-10, 1e-12)
+    sol.segments.append(Segment(1.0, 5.0, res.sol, len(res.t) - 1, res.nfev, "span_end"))
+    roots = find_roots(sol)
+    assert len(roots) == 1
+    assert abs(roots[0].t0 - math.pi) <= 1e-10
+    assert roots[0].sgn == -1
+
+
+@pytest.mark.parametrize("case", ["worked_example", "pole_capped"])
+def test_node_lams_are_what_lam_reads(case, appendix_solution):
+    sol = appendix_solution if case == "worked_example" else _pole_capped_solution()[1]
+    ts, vals = ode._node_lams(sol)
+    assert ts == sorted(float(t) for t in sol.mesh_nodes())
+    in_zone = 0
+    for t, v in zip(ts, vals):
+        lam = sol.lam(t)
+        if any(c.zone[0] <= t <= c.zone[1] for c in sol.crossings):
+            in_zone += 1
+            assert v == lam  # read from the crossing series, as lam reads it
+        else:
+            # the accepted state, where lam interpolates: equal up to rounding
+            assert abs(v - lam) <= 4 * _rk.EPS * max(1.0, abs(lam)) and v * lam > 0
+    assert in_zone > 0 or not sol.crossings
+
+
+def test_lam3_window_is_the_nodes_within_a_tenth_of_t0(appendix_solution, appendix_roots, monkeypatch):
+    sol = appendix_solution
+    for r in appendix_roots:
+        read = []
+        state = sol.state
+        monkeypatch.setattr(sol, "state", lambda t: read.append(t) or state(t))
+        lam3_at_root(sol, r, P)
+        monkeypatch.undo()
+        w = 0.1 * abs(r.t0)
+        window = [t for t in sol.mesh_nodes() if abs(t - r.t0) <= w and _linear_scan_covers(sol, t)]
+        assert read == window
+
+
+def _linear_scan_covers(sol, t):
+    return any(s.lo <= t <= s.hi for s in sol.segments) or any(c.zone[0] <= t <= c.zone[1] for c in sol.crossings)
+
+
+def _linear_scan_locate(sol, t):
+    """The lookup rule as a linear scan: crossing zones first, then the first
+    segment by lo, then the nearest segment within 1e-9, else DomainError."""
+    for c in sol.crossings:
+        if c.zone[0] <= t <= c.zone[1]:
+            return c
+    best = None
+    for seg in sol.segments:
+        if seg.lo <= t <= seg.hi:
+            return seg.sol
+        gap = min(abs(t - seg.lo), abs(t - seg.hi))
+        if best is None or gap < best[0]:
+            best = (gap, seg.sol)
+    if best is not None and best[0] < 1e-9 * max(1.0, abs(t)):
+        return best[1]
+    raise DomainError(f"t={t} outside the computed span")
+
+
+def _linear_scan_state(sol, t):
+    obj = _linear_scan_locate(sol, t)
+    if isinstance(obj, CrossingRecord):
+        return series_eval(obj.series, t - obj.t0), series_eval_derivative(obj.series, t - obj.t0)
+    lam, lamdot = obj(t)
+    return float(lam), float(lamdot)
+
+
+@pytest.mark.parametrize("case", ["worked_example", "pole_capped"])
+def test_indexed_lookup_matches_the_linear_scan(case, appendix_solution):
+    if case == "worked_example":
+        sol, t_init = appendix_solution, acceptance.REF_CAUCHY[0]
+    else:
+        a, sol = _pole_capped_solution()
+        t_init = a.t0 + -0.05 * a.t0  # the launch point of _pole_capped_solution
+        assert sol.pole_markers
+    probes = [float(t) for t in sol.mesh_nodes()]
+    probes += [e for c in sol.crossings for e in c.zone]
+    probes += [e for seg in sol.segments for e in (seg.lo, seg.hi)]
+    probes += [t_init, sol.t_min - 1e-10, sol.t_max + 1e-10]  # the last two: nearest-segment rule
+    assert t_init in probes[: len(sol.mesh_nodes())]  # both sweeps start there
+    assert not sol.covers(sol.t_max + 1e-10) and not sol.covers(sol.t_min - 1e-10)
+    for t in probes:
+        assert sol._locate(t) is _linear_scan_locate(sol, t)
+        assert sol.state(t) == _linear_scan_state(sol, t)
+        assert sol.covers(t) == _linear_scan_covers(sol, t)
+    for t in (sol.t_min - 1e-8, sol.t_max + 1e-8):
+        with pytest.raises(DomainError):
+            _linear_scan_locate(sol, t)
+        with pytest.raises(DomainError):
+            sol.state(t)
+
+
+def test_integrate_logs_each_segment_and_crossing_at_debug(caplog):
+    from p3prime.acceptance import REF_CAUCHY, REF_PARAMS, REF_SPAN
+
+    with caplog.at_level(logging.DEBUG, logger="p3prime.ode"):
+        sol = integrate(REF_PARAMS, *REF_CAUCHY, REF_SPAN)
+    lines = [r.getMessage() for r in caplog.records if r.name == "p3prime.ode"]
+    assert len(lines) == len(sol.segments) + len(sol.crossings)
+    for line, seg in zip(lines, sol.segments):
+        assert line == (f"segment [{seg.lo:.17g}, {seg.hi:.17g}]: {seg.steps} steps, "
+                        f"{seg.rhs_calls} rhs calls, end {seg.end}")
+    for line, c in zip(lines[len(sol.segments):], sol.crossings):
+        assert line == (f"crossing t0={c.t0:.17g} lam3={c.lam3:.17g} "
+                        f"fit_nfev={c.fit_nfev} fit_residual={c.fit_residual:.3e}")
+
+
+def test_integrate_formats_no_debug_line_below_debug(caplog, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("debug line formatted at INFO")
+
+    monkeypatch.setattr(logging.Logger, "debug", fail)
+    with caplog.at_level(logging.INFO, logger="p3prime.ode"):
+        integrate(P, 0.8, *_state(0.8), (0.6, 1.3))
+    assert not [r for r in caplog.records if r.name == "p3prime.ode"]
+
+
+def test_integrate_leaves_logging_unimported():
+    # a trajectory that never configures logging does not pay for importing it
+    code = (
+        "import sys; from p3prime import ode; from p3prime.acceptance import REF_CAUCHY, REF_PARAMS; "
+        "ode.find_roots(ode.integrate(REF_PARAMS, *REF_CAUCHY, (0.3, 1.3))); "
+        "assert 'logging' not in sys.modules, 'logging imported'"
+    )
+    src = str(Path(ode.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

@@ -2,13 +2,15 @@
 against scipy's brentq, as the oracles."""
 
 import math
+from array import array
+from operator import mul
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 from scipy.optimize import brentq as scipy_brentq
 
-from p3prime import EquationParams, RootAnchor, SignSwitch
+from p3prime import EquationParams, RootAnchor, SignSwitch, _rk
 from p3prime._rk import EPS, _interpolate, brentq, solve_ivp
 from p3prime.equation import rhs_scalar
 from p3prime.poles import root_to_pole
@@ -121,6 +123,49 @@ def test_descending_mesh_nodes_use_the_step_ending_there(name):
             sides_differ += y != _interpolate(pieces[k], res.t[k])
         assert all(_close(a, float(b), VALUE_TOL) for a, b in zip(y, ref.sol(res.t[k])))
     assert sides_differ > 0  # the two sides of a node differ in rounding, so the rule is visible
+
+
+def _stage_columns(stages):
+    n = len(_rk.P)
+    return [stages[i : i + n] for i in range(0, len(stages), n)]
+
+
+@pytest.mark.parametrize("name", ["up_span_end", "down_span_end", "up_zero"])
+def test_lazy_coefficients_equal_the_eager_ones(name):
+    fun, t_start, y_start, t_end, events, _, _ = CASES[name]
+    res = solve_ivp(fun, (t_start, t_end), y_start, rtol=RTOL, atol=ATOL, events=events)
+    fired = res.status == 1  # event location has already evaluated the last step
+    for piece in res.sol.pieces[: len(res.sol.pieces) - fired]:
+        stages = piece[3]
+        assert isinstance(stages, array)  # not evaluated yet: the stage values, not coefficients
+        eager = [[sum(map(mul, pc, k)) for pc in _rk.P_COLS] for k in _stage_columns(stages)]
+        t_mid = piece[0] + 0.5 * piece[1]
+        first = _interpolate(piece, t_mid)
+        assert piece[3] == eager
+        coefficients = piece[3]
+        assert _interpolate(piece, t_mid) == first
+        assert piece[3] is coefficients
+    if fired:
+        assert isinstance(res.sol.pieces[-1][3], list)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_node_states_are_the_accepted_states(name):
+    fun, t_start, y_start, t_end, events, status, fired = CASES[name]
+    res = solve_ivp(fun, (t_start, t_end), y_start, rtol=RTOL, atol=ATOL, events=events)
+    sol = res.sol
+    assert res.status == status
+    assert len(sol.ys) == len(res.t)
+    assert sol.ys[0] == [float(v) for v in y_start]
+    # y_new = y + h * sum(B * stages) per component, the kernel's own sum, from
+    # the stage values each unevaluated step kept
+    for k, (_, h, y_old, stages) in enumerate(sol.pieces[: len(sol.pieces) - (status == 1)]):
+        assert y_old == sol.ys[k]
+        y_new = [y + h * sum(map(mul, _rk.B, col)) for y, col in zip(y_old, _stage_columns(stages))]
+        assert sol.ys[k + 1] == y_new
+    if status == 1:
+        assert res.t[-1] == res.t_events[fired][0]
+        assert sol.ys[-1] == sol(res.t[-1])
 
 
 def test_step_size_underflow_fails_like_scipy():
