@@ -12,11 +12,11 @@ crossing record.
 Poles are not crossed: when |lam| exceeds a cap the integration stops on
 that side and leaves a pole marker.
 
-The stepping runs on ``_rk.solve_ivp``, a pure-Python Dormand-Prince 5(4)
-kernel with scipy RK45's step control and a lazily formed dense output.
-Each solver segment keeps its step count, its right-hand-side calls and why
-it ended; ``integrate`` logs them, and each crossing's fit, one line each at
-DEBUG (``P3_LOG=debug``).  Roots are polished with ``_rk.brentq``, a port
+The stepping runs on ``_rk.solve_ivp``, scipy's DOP853 (order 8, with a
+7th-order dense output formed lazily) ported to Python floats.  Each solver
+segment keeps its step count, its right-hand-side calls and why it ended;
+``integrate`` logs them, and each crossing's fit, one line each at DEBUG
+(``P3_LOG=debug``).  Roots are polished with ``_rk.brentq``, a port
 of scipy's, and the crossing fit runs on ``least_squares``, a two-unknown
 Levenberg-Marquardt solver, so the module needs no scipy at run time.
 """
@@ -107,7 +107,7 @@ class Segment:
     hi: float
     sol: DenseOutput  # sol(t) -> [lam, lam'] over the run
     steps: int  # accepted steps
-    rhs_calls: int  # right-hand-side evaluations, rejected steps included
+    rhs_calls: int  # right-hand-side calls during integrate: rejected steps and dense-output stages included
     end: str  # "span_end", "root", "near_root" or "pole_cap"
 
 
@@ -122,7 +122,6 @@ class _Index(NamedTuple):
     edges: list  # sorted distinct edges of zones and segments
     at: list  # at[i]: the piece holding t == edges[i], or None
     between: list  # between[i]: the piece holding edges[i-1] < t < edges[i], or None
-    nodes: list  # sorted distinct mesh nodes of all segments
 
 
 @dataclass
@@ -164,13 +163,12 @@ class DenseSolution:
                 next((obj for lo, hi, obj in spans if lo <= a and b <= hi), None)
                 for a, b in zip(bounds, bounds[1:])
             ]
-            nodes = sorted({t for seg in self.segments for t in seg.sol.ts})
-            self._index = _Index(key, edges, at, between, nodes)
+            self._index = _Index(key, edges, at, between)
         return self._index
 
     def _lookup(self, t: float):
         """The crossing record or segment interpolant that holds t, or None."""
-        _, edges, at, between, _ = self._indexed()
+        _, edges, at, between = self._indexed()
         i = bisect_left(edges, t)
         return at[i] if i < len(edges) and edges[i] == t else between[i]
 
@@ -210,7 +208,7 @@ class DenseSolution:
 
     def mesh_nodes(self) -> np.ndarray:
         """Accepted-step abscissae of all segments, sorted."""
-        return np.array(self._indexed().nodes)
+        return np.array(sorted({t for seg in self.segments for t in seg.sol.ts}))
 
 
 def _dot(a, b):
@@ -347,9 +345,9 @@ def integrate(
     rel_tol: float = 1e-10,
     abs_tol: float = 1e-12,
 ) -> DenseSolution:
-    """Adaptive RK 5(4) integration of P-III' over ``span`` from Cauchy data
-    at ``t_init``, with dense output, series-based root crossing and a pole
-    cap; integrates in both directions from t_init."""
+    """Adaptive DOP853 (order 8) integration of P-III' over ``span`` from
+    Cauchy data at ``t_init``, with dense output, series-based root crossing
+    and a pole cap; integrates in both directions from t_init."""
     lo, hi = min(span), max(span)
     if not (lo <= t_init <= hi):
         raise DomainError("t_init must lie inside span")
@@ -407,8 +405,12 @@ def integrate(
                         t_back = tm
                         break
                 t_s = brentq(g, t_back, t_e, xtol=1e-15 * max(1.0, abs(t_e)))
+            if end in ("root", "near_root"):
+                crossing = _crossing_from_stop(p, seg, t_s, t_cur)
+            # appended after the crossing fit has read the dense output, so
+            # that seg.nfev counts every interpolant stage formed for it
             sol.segments.append(
-                Segment(min(t_cur, t_s), max(t_cur, t_s), seg, len(res.t) - 1, res.nfev, end)
+                Segment(min(t_cur, t_s), max(t_cur, t_s), seg, len(res.t) - 1, res.nfev + seg.nfev, end)
             )
             if end == "span_end":
                 return
@@ -416,7 +418,6 @@ def integrate(
                 sol.pole_markers.append((t_s, "right" if direction > 0 else "left"))
                 return
 
-            crossing = _crossing_from_stop(p, seg, t_s, t_cur)
             z = _EPS_RESUME_REL * abs(crossing.t0)
             t_r = crossing.t0 + direction * z
             zone = (min(t_s, t_r), max(t_s, t_r))
@@ -524,32 +525,25 @@ def find_roots(sol: DenseSolution) -> list[RootInfo]:
 def lam3_at_root(sol: DenseSolution, root: RootInfo, p: EquationParams) -> float:
     """Cubic coefficient lam'''(t0)/6 extracted from the numerical solution.
 
-    The third derivative is evaluated through its closed form at accepted
-    mesh nodes inside a symmetric window around the root, nodes with |lam|
-    below an exclusion threshold are dropped (the formula is indeterminate
-    at the root itself), a degree-4 polynomial is least-squares fitted and
-    read off at the root.
+    The third derivative is evaluated through its closed form on a grid of
+    41 evenly spaced points over the window |t - t0| <= 0.1 |t0|, at those
+    the solution covers (one side only where the computed span ends inside
+    the window), so the estimate does not depend on how densely the solver
+    stepped there.  Points with |lam| below an exclusion threshold are
+    dropped (the formula is indeterminate at the root itself), and a
+    degree-4 polynomial is least-squares fitted and read off at the root.
     """
     t0 = root.t0
     w = 0.1 * abs(t0)
     excl = 1e-3 * max(1.0, abs(t0))
-    # fl(t - t0) is monotone in t, so the window is one run of the sorted
-    # mesh: bisect for a run twice as wide, then apply the exact test
-    mesh = sol._indexed().nodes
-    near = mesh[bisect_left(mesh, t0 - 2 * w) : bisect_right(mesh, t0 + 2 * w)]
-    nodes = [t for t in near if abs(t - t0) <= w and sol.covers(t)]
     kept = []
-    for t in nodes:
-        lam, lamdot = sol.state(t)
-        if abs(lam) > excl:
-            kept.append((t, lam, lamdot))
-    # spread up to 41 nodes across the window; clustering next to the root
-    # would expose the formula's 0/0 conditioning instead of averaging it out
-    if len(kept) > 41:
-        idx = np.unique(np.linspace(0, len(kept) - 1, 41).astype(int))
-        kept = [kept[i] for i in idx]
+    for t in np.linspace(t0 - w, t0 + w, 41).tolist():
+        if sol.covers(t):
+            lam, lamdot = sol.state(t)
+            if abs(lam) > excl:
+                kept.append((t, lam, lamdot))
     if len(kept) < 10:
-        raise DomainError(f"only {len(kept)} usable nodes in the window around t0={t0}")
+        raise DomainError(f"only {len(kept)} usable points in the window around t0={t0}")
     x = np.array([t - t0 for t, _, _ in kept])
     y = np.array([third_derivative(t, lam, lamdot, p) for t, lam, lamdot in kept])
     coeffs = np.polynomial.polynomial.polyfit(x, y, 4)
