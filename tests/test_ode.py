@@ -267,25 +267,17 @@ def test_residual_scan_small_away_from_roots(appendix_solution, appendix_roots):
 
 
 def test_residual_scan_improves_with_tolerance():
-    # A 10x tighter tolerance must shrink the interpolation error in the
-    # residual >= 5x.  The finite-difference step's own truncation error,
-    # 1.8e-7 at t = 0.65, is the same for every accurate solution, so it is
-    # measured on a run at rtol = 1e-13 and taken out point by point; at the
-    # default tolerance DOP853 is already within that floor (raw maxima
-    # 9.5e-7 -> 1.9e-7, 4.9x).  With the floor taken out the default pair
-    # 1e-9 -> 1e-10 gives 1.0e-6 -> 8.8e-8 (11x).  The looser pair
-    # 1e-8 -> 1e-9 gives only 2.7x (2.7e-6 -> 1.0e-6; 2.9x raw): there the
-    # error is not proportional to the tolerance.
+    # with the finite-difference step fixed small, interpolation error
+    # dominates and a 10x tighter tolerance must shrink the residual >= 5x.
+    # At the default pair 1e-9 -> 1e-10 the maximum falls 1.0e-6 -> 8.9e-8
+    # (11x).  At the looser pair 1e-8 -> 1e-9 DOP853's error is not
+    # proportional to the tolerance: 2.9e-6 -> 1.0e-6, only 2.9x.
     args = (0.7, 0.9, 0.4, (0.6, 1.3))
+    loose = integrate(P, *args[:3], args[3], rel_tol=1e-9, abs_tol=1e-11)
+    tight = integrate(P, *args[:3], args[3], rel_tol=1e-10, abs_tol=1e-12)
     grid = np.linspace(0.65, 1.25, 101)
-
-    def residuals(rel_tol, abs_tol):
-        sol = integrate(P, *args[:3], args[3], rel_tol=rel_tol, abs_tol=abs_tol)
-        return [r for _, r in residual_scan(sol, grid, fd_step=5e-4)]
-
-    floor = residuals(1e-13, 1e-15)
-    r_loose = max(abs(r - f) for r, f in zip(residuals(1e-9, 1e-11), floor))
-    r_tight = max(abs(r - f) for r, f in zip(residuals(1e-10, 1e-12), floor))
+    r_loose = max(abs(r) for _, r in residual_scan(loose, grid, fd_step=5e-4))
+    r_tight = max(abs(r) for _, r in residual_scan(tight, grid, fd_step=5e-4))
     assert r_loose >= 5 * r_tight
 
 
@@ -418,7 +410,7 @@ def test_find_roots_scan_polishes_a_sign_change_between_nodes():
 def test_node_lams_are_what_lam_reads(case, appendix_solution):
     sol = appendix_solution if case == "worked_example" else _pole_capped_solution()[1]
     ts, vals = ode._node_lams(sol)
-    assert ts == sorted(float(t) for t in sol.mesh_nodes())
+    assert ts == sorted({t for seg in sol.segments for t in seg.sol.ts})
     in_zone = 0
     for t, v in zip(ts, vals):
         lam = sol.lam(t)
@@ -508,11 +500,12 @@ def test_indexed_lookup_matches_the_linear_scan(case, appendix_solution):
         a, sol = _pole_capped_solution()
         t_init = a.t0 + -0.05 * a.t0  # the launch point of _pole_capped_solution
         assert sol.pole_markers
-    probes = [float(t) for t in sol.mesh_nodes()]
+    nodes = sorted({t for seg in sol.segments for t in seg.sol.ts})
+    probes = list(nodes)
     probes += [e for c in sol.crossings for e in c.zone]
     probes += [e for seg in sol.segments for e in (seg.lo, seg.hi)]
     probes += [t_init, sol.t_min - 1e-10, sol.t_max + 1e-10]  # the last two: nearest-segment rule
-    assert t_init in probes[: len(sol.mesh_nodes())]  # both sweeps start there
+    assert t_init in nodes  # both sweeps start there
     assert not sol.covers(sol.t_max + 1e-10) and not sol.covers(sol.t_min - 1e-10)
     for t in probes:
         assert sol._locate(t) is _linear_scan_locate(sol, t)

@@ -159,7 +159,7 @@ def test_numerical_solution_approaching_pole_matches_laurent():
     dt0 = -0.12 * A.t0
     sol = integrate(P, A.t0 + dt0, le.eval(dt0), le.eval_derivative(dt0), (0.55, 0.75))
     assert sol.pole_markers
-    nodes = sol.mesh_nodes()
+    nodes = np.array(sorted({t for seg in sol.segments for t in seg.sol.ts}))
     last = nodes[-8:]
     inv = [1 / sol.lam(float(t)) for t in last]
     coef = np.polynomial.polynomial.polyfit(last - last[-1], inv, 2)
