@@ -94,8 +94,8 @@ def _read_config(path: str) -> dict:
     return values
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="p3prime", description=__doc__, add_help=True)
+def _build_parser(**kwargs) -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(prog="p3prime", description=__doc__, **kwargs)
     ap.add_argument("command", choices=_COMMANDS)
     ap.add_argument("--config", default=None, help="key=value file; flags override it")
     ap.add_argument("--chi0", type=float, default=None)
@@ -103,51 +103,39 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--t0", type=float, default=None)
     ap.add_argument("--sgn", type=str, default=None, help="+1 or -1")
     ap.add_argument("--lam3", type=float, default=None)
-    ap.add_argument("--order", type=int, default=None)
+    ap.add_argument("--order", type=int, default=5)
     ap.add_argument("--span", type=str, default=None, help="A:B")
     ap.add_argument("--cauchy", type=str, default=None, help="T:LAM:LAMDOT initial data")
-    ap.add_argument("--rel-tol", type=float, default=None)
-    ap.add_argument("--abs-tol", type=float, default=None)
-    ap.add_argument("--alpha", type=float, default=None)
-    ap.add_argument("--seed", type=int, default=None)
-    ap.add_argument("--out", type=str, default=None)
-    ap.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
+    ap.add_argument("--rel-tol", type=float, default=1e-10)
+    ap.add_argument("--abs-tol", type=float, default=1e-12)
+    ap.add_argument("--alpha", type=float, default=0.5)
+    ap.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
+    ap.add_argument("--out", type=str, default="p3prime_out")
+    ap.add_argument("--format", dest="fmt", choices=("csv", "json"), default="json")
     return ap
 
 
-_HARD_DEFAULTS = {
-    "order": 5,
-    "rel_tol": 1e-10,
-    "abs_tol": 1e-12,
-    "alpha": 0.5,
-    "seed": acceptance.DEFAULT_SEED,
-    "out": "p3prime_out",
-    "fmt": "json",
-}
-
-
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset flags (all default to None) from the config file, then
-    apply the hard defaults; explicit flags therefore always win."""
-    if args.config is not None:
-        file_vals = _read_config(args.config)
-        typed = {
-            "chi0": float, "chiinf": float, "t0": float, "sgn": str, "lam3": float,
-            "order": int, "span": str, "cauchy": str, "rel-tol": float, "abs-tol": float,
-            "alpha": float, "seed": int, "out": str, "format": str,
-        }
-        for key, raw in file_vals.items():
-            if key not in typed:
-                raise UsageError(f"unknown config key {key!r}")
-            attr = {"rel-tol": "rel_tol", "abs-tol": "abs_tol", "format": "fmt"}.get(
-                key, key.replace("-", "_")
-            )
-            if getattr(args, attr) is None:
-                setattr(args, attr, typed[key](raw))
-    for attr, value in _HARD_DEFAULTS.items():
-        if getattr(args, attr) is None:
-            setattr(args, attr, value)
-    return args
+def _parse_args(argv) -> argparse.Namespace:
+    """Flags, over values from the --config file, over the defaults.  File
+    values pass through the same parser as flags, so they get its types and
+    choices; they become its defaults, and the flags are parsed again."""
+    ap = _build_parser()
+    args = ap.parse_args(argv)
+    if args.config is None:
+        return args
+    # a file key must be a whole flag name, and a bad value raises, not exits
+    file_ap = _build_parser(allow_abbrev=False, exit_on_error=False)
+    try:
+        file_args, unknown = file_ap.parse_known_args(
+            [args.command, *(f"--{key}={val}" for key, val in _read_config(args.config).items())]
+        )
+    except argparse.ArgumentError as exc:
+        raise UsageError(f"config {args.config}: {exc}") from exc
+    if unknown:
+        keys = ", ".join(tok[2:].partition("=")[0] for tok in unknown)
+        raise UsageError(f"config {args.config}: unknown key(s) {keys}")
+    ap.set_defaults(**vars(file_args))
+    return ap.parse_args(argv)
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -299,7 +287,12 @@ def cmd_analyze(cfg: RunConfig) -> int:
             for t in np.linspace(lo + pad, hi - pad, 41)
             if all(abs(t - r.t0) > 0.05 * (hi - lo) for r in roots)
         ]
-        dev = symmetry_check(sol, cfg.params, grid)
+        # t/lam has a pole at every root of lam, where the swapped run stops,
+        # so keep the stretch between the two roots around the middle point
+        mid = grid[len(grid) // 2]
+        left = max((r.t0 for r in roots if r.t0 < mid), default=-np.inf)
+        right = min((r.t0 for r in roots if r.t0 > mid), default=np.inf)
+        dev = symmetry_check(sol, cfg.params, [t for t in grid if left < t < right])
         print(f"max |t/lambda - lambda_swapped| = {dev:.3e}")
         return 0
     raise UsageError(f"unhandled command {cfg.command}")
@@ -382,11 +375,8 @@ def _reproduce_appendix(cfg: RunConfig) -> int:
 
 def main(argv=None) -> int:
     _setup_logging()
-    ap = _build_parser()
-    args = ap.parse_args(argv)
     try:
-        args = _merge_config(args)
-        cfg = _config_from_args(args)
+        cfg = _config_from_args(_parse_args(argv))
         if cfg.command in ("expand-root", "expand-pole"):
             return cmd_expand(cfg)
         if cfg.command in ("integrate", "find-roots", "lam3", "residual", "symmetry"):

@@ -2,12 +2,17 @@
 
 The scalar right-hand side is 0/0-indeterminate at roots of lam, so blind
 stepping across them is not trusted.  Instead, when |lam| falls below a
-switching threshold the integrator stops, fits the local root expansion
-(root location, slope switch, cubic coefficient) to the numerical data,
-steps across the root analytically with that series, and resumes on the far
-side.  The excluded zone is evaluated from the fitted series, so the
-composite solution is smooth through every root and every root comes with a
-crossing record.
+switching threshold of 1e-4 |t| the integrator stops, fits the local root
+expansion (root location, slope switch, cubic coefficient) to the numerical
+data, steps across the root analytically with that series, and resumes on
+the far side.  The stop is one terminal event per solver run,
+s0*lam - 1e-4 |t| with s0 the sign of lam where the run starts: it falls
+through zero at the near-side switch point and stays negative past the root,
+so a step that jumps the whole switching band still fires it and the event
+search places the stop at that point.  A launch inside the band is refused,
+since the event could not see the root next to it.  The excluded zone is
+evaluated from the fitted series, so the composite solution is smooth
+through every root and every root comes with a crossing record.
 
 Poles are not crossed: when |lam| exceeds a cap the integration stops on
 that side and leaves a pole marker.
@@ -26,7 +31,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import mul
 from typing import NamedTuple
 
@@ -108,11 +113,11 @@ class Segment:
     sol: DenseOutput  # sol(t) -> [lam, lam'] over the run
     steps: int  # accepted steps
     rhs_calls: int  # right-hand-side calls during integrate: rejected steps and dense-output stages included
-    end: str  # "span_end", "root", "near_root" or "pole_cap"
+    end: str  # "span_end", "near_root" (stopped at the switching threshold) or "pole_cap"
 
 
 # why a segment ended, by the index of the terminal event that fired
-_EVENT_ENDS = ("root", "near_root", "pole_cap")
+_EVENT_ENDS = ("near_root", "pole_cap")
 
 
 class _Index(NamedTuple):
@@ -277,19 +282,28 @@ def least_squares(fun, x0):
     return FitResult(x, r, False, "The maximum number of function evaluations is exceeded.", nfev)
 
 
-def _fit_crossing(p, sgn, pts):
-    """Fit (t0, lam3) of the local root expansion to (t, lam, lam') samples;
-    returns the solver's result, whose ``x`` is (t0, lam3)."""
-    t_s, lam_s, lamdot_s = pts[0]
+def _crossing_from_stop(p, inner, t_s, t_start, direction) -> CrossingRecord:
+    """Cross the root ahead of the near-side stop point t_s of a run that
+    started at t_start and sweeps in ``direction`` (+1 or -1).
+
+    Fits (t0, lam3) of the local root expansion to (t, lam, lam') at t_s and
+    at a window point further back in the run, so that the cubic coefficient
+    is conditioned on O(0.05*t0) data, not O(eps).  The record's zone runs
+    from t_s to the relaunch point _EPS_RESUME_REL*|t0| past the root.
+    """
+    lam_s, lamdot_s = inner(t_s)
+    sgn = 1 if lamdot_s > 0 else -1
     t0_guess = t_s - lam_s / lamdot_s
     lam3_guess = 0.0
-    if len(pts) > 1:
-        t_w, lam_w, lamdot_w = pts[1]
-        if lam_w != 0:
-            try:
-                lam3_guess = third_derivative(t_w, lam_w, lamdot_w, p) / 6
-            except DomainError:
-                lam3_guess = 0.0
+    pts = [(t_s, lam_s, lamdot_s)]
+    t_w = t0_guess - direction * 0.05 * abs(t0_guess)
+    t_w = min(max(t_w, min(t_start, t_s)), max(t_start, t_s))
+    if abs(t_w - t_s) > 10 * _EPS_SWITCH_REL * abs(t0_guess):
+        pts.append((t_w, *inner(t_w)))
+        try:
+            lam3_guess = third_derivative(*pts[1], p) / 6
+        except DomainError:
+            pass
 
     def residuals(x):
         t0, L = x
@@ -303,33 +317,15 @@ def _fit_crossing(p, sgn, pts):
             out.append(series_eval_derivative(lam, t - t0) - ld)
         return out
 
-    res = least_squares(residuals, [t0_guess, lam3_guess])
-    if not res.success:
-        raise IntegrationError(f"crossing fit near t={t_s} did not converge: {res.message}")
-    return res
-
-
-def _crossing_from_stop(p, inner, t_s, t_prev_cov) -> CrossingRecord:
-    """Build the crossing record from the near-side stop point t_s; the fit
-    also uses a window point further back in the already covered interval so
-    the cubic coefficient is conditioned on O(0.05*t0) data, not O(eps)."""
-    lam_s, lamdot_s = inner(t_s)
-    sgn = 1 if lamdot_s > 0 else -1
-    t0_est = t_s - lam_s / lamdot_s
-    pts = [(t_s, lam_s, lamdot_s)]
-    toward_covered = math.copysign(1.0, t_prev_cov - t_s) if t_prev_cov != t_s else 0.0
-    if toward_covered != 0.0:
-        t_w = t0_est + toward_covered * 0.05 * abs(t0_est)
-        lo, hi = min(t_prev_cov, t_s), max(t_prev_cov, t_s)
-        t_w = min(max(t_w, lo), hi)
-        if abs(t_w - t_s) > 10 * _EPS_SWITCH_REL * abs(t0_est):
-            lam_w, lamdot_w = inner(t_w)
-            pts.append((t_w, lam_w, lamdot_w))
-    fit = _fit_crossing(p, sgn, pts)
-    t0_fit, lam3_fit = fit.x
-    a = RootAnchor(t0_fit, SignSwitch(sgn), lam3_fit)
+    fit = least_squares(residuals, [t0_guess, lam3_guess])
+    if not fit.success:
+        raise IntegrationError(f"crossing fit near t={t_s} did not converge: {fit.message}")
+    t0, lam3 = fit.x
+    a = RootAnchor(t0, SignSwitch(sgn), lam3)
     series = assemble_lambda(a, taylor_at_root(a, p, _FIT_ORDER), p)
-    return CrossingRecord(t0_fit, sgn, lam3_fit, (0.0, 0.0), series, fit.nfev, math.hypot(*fit.fun))
+    t_r = t0 + direction * _EPS_RESUME_REL * abs(t0)
+    zone = (min(t_s, t_r), max(t_s, t_r))
+    return CrossingRecord(t0, sgn, lam3, zone, series, fit.nfev, math.hypot(*fit.fun))
 
 
 def integrate(
@@ -349,22 +345,14 @@ def integrate(
         raise DomainError("t_init must lie inside span")
     if lo <= 0.0 <= hi:
         raise DomainError("span must not contain t = 0")
-    if lam0 == 0:
-        raise DomainError("initial lambda must be nonzero (launch off the root)")
+    if abs(lam0) <= _EPS_SWITCH_REL * abs(t_init):
+        raise DomainError("initial lambda must lie outside the switching band |lam| <= 1e-4 |t|")
 
     sol = DenseSolution(params=p, rel_tol=rel_tol, abs_tol=abs_tol)
 
     def rhs(t, y):
         lam, lamdot = y
         return (lamdot, rhs_scalar(t, lam, lamdot, p))
-
-    def ev_zero(t, y):
-        return y[0]
-
-    def ev_near(t, y):
-        return abs(y[0]) - _EPS_SWITCH_REL * abs(t)
-
-    ev_near.direction = -1
 
     def ev_pole(t, y):
         return abs(y[0]) - _POLE_CAP
@@ -375,13 +363,22 @@ def integrate(
         t_cur, y_cur = t_start, list(y_start)
         direction = 1.0 if t_end > t_start else -1.0
         while (t_end - t_cur) * direction > 0:
+            s0 = math.copysign(1.0, y_cur[0])
+
+            def ev_near(t, y):
+                # falls through zero at the near-side switch point and stays
+                # negative past the root, so a step that jumps the switching
+                # band still fires it and the event search finds that point
+                return s0 * y[0] - _EPS_SWITCH_REL * abs(t)
+
+            ev_near.direction = -1
             res = solve_ivp(
                 rhs,
                 (t_cur, t_end),
                 y_cur,
                 rtol=rel_tol,
                 atol=abs_tol,
-                events=[ev_zero, ev_near, ev_pole],
+                events=[ev_near, ev_pole],
             )
             if res.status == -1:
                 raise IntegrationError(f"integration failed near t={res.t[-1]}: {res.message}")
@@ -391,18 +388,8 @@ def integrate(
             else:
                 k = next(i for i, te in enumerate(res.t_events) if te)
                 end, t_s = _EVENT_ENDS[k], float(res.t_events[k][0])
-            if end == "root":
-                # back to the near-side point with |lam| equal to the switching threshold
-                t_e = t_s
-                g = lambda t: abs(seg(t)[0]) - _EPS_SWITCH_REL * abs(t)
-                t_back = t_cur
-                for tm in reversed([t for t in res.t if (t_e - t) * direction > 0]):
-                    if g(tm) > 0:
-                        t_back = tm
-                        break
-                t_s = brentq(g, t_back, t_e, xtol=1e-15 * max(1.0, abs(t_e)))
-            if end in ("root", "near_root"):
-                crossing = _crossing_from_stop(p, seg, t_s, t_cur)
+            if end == "near_root":
+                crossing = _crossing_from_stop(p, seg, t_s, t_cur, direction)
             # appended after the crossing fit has read the dense output, so
             # that seg.nfev counts every interpolant stage formed for it
             sol.segments.append(
@@ -414,10 +401,8 @@ def integrate(
                 sol.pole_markers.append((t_s, "right" if direction > 0 else "left"))
                 return
 
-            z = _EPS_RESUME_REL * abs(crossing.t0)
-            t_r = crossing.t0 + direction * z
-            zone = (min(t_s, t_r), max(t_s, t_r))
-            sol.crossings.append(replace(crossing, zone=zone))
+            sol.crossings.append(crossing)
+            t_r = crossing.zone[1] if direction > 0 else crossing.zone[0]  # the relaunch point
             if (t_end - t_r) * direction <= 0:
                 return
             dt_r = t_r - crossing.t0

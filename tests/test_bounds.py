@@ -19,6 +19,7 @@ from p3prime.bounds import (
     d_omega_xi_lambda,
     d_omega_xi_mu,
 )
+from p3prime.series import _kernel_mu_eta, _kernel_xi_eta
 
 A = RootAnchor(0.511115, SignSwitch(1), -9.01149)
 P = EquationParams(-0.811597, -0.0550042)
@@ -56,6 +57,36 @@ def test_majorants_dominate_sampled_kernels():
     assert np.all(np.abs(d_omega_mu_mu(eta, lam_hat, mu_hat, A, P)) <= bs.B_mu_mu)
     assert np.all(np.abs(d_omega_xi_lambda(eta, lam_hat, mu_hat, d_mu, A, P)) <= bs.B_xi_lambda)
     assert np.all(np.abs(d_omega_xi_mu(eta, lam_hat, mu_hat, d_lam, A, P)) <= bs.B_xi_mu)
+
+
+@pytest.mark.parametrize(
+    "anchor,params",
+    [(A, P), (RootAnchor(-1.2, SignSwitch(-1), 2.5), EquationParams(1.3, -0.7))],
+)
+def test_increment_kernels_give_the_exact_kernel_difference(anchor, params):
+    # the iteration's increment is the difference of run_scheme's kernels
+    # between successive iterates; with midpoint arguments the four d_omega
+    # kernels give that difference exactly, including their terms quadratic
+    # in the increments, which are O(eta^3 d^2) and so hardly move the
+    # partial sums at samples within alpha_tilde |t0|.  Here the increments
+    # are O(1), and such a term off by a tenth moves the identity by ~1e-2
+    rng = np.random.default_rng(7)
+    eta, lam0, mu0, d_lam, d_mu = rng.uniform(-1, 1, (5, 200))
+    lam_h, mu_h = lam0 + d_lam / 2, mu0 + d_mu / 2
+
+    def kernel(build, lam, mu):
+        return np.array([
+            np.polynomial.polynomial.polyval(e, build([x], [y], anchor, params)) for e, x, y in zip(eta, lam, mu)
+        ])
+
+    for build, by_increments in (
+        (_kernel_mu_eta, d_mu * d_omega_mu_mu(eta, lam_h, mu_h, anchor, params)
+         + d_lam * d_omega_mu_lambda(eta, mu_h, d_mu)),
+        (_kernel_xi_eta, d_mu * d_omega_xi_mu(eta, lam_h, mu_h, d_lam, anchor, params)
+         + d_lam * d_omega_xi_lambda(eta, lam_h, mu_h, d_mu, anchor, params)),
+    ):
+        difference = kernel(build, lam0 + d_lam, mu0 + d_mu) - kernel(build, lam0, mu0)
+        assert np.max(np.abs(difference - by_increments)) <= 1e-12
 
 
 def test_bounds_nonincreasing_in_shrinking_alpha():

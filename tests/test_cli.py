@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import p3prime
-from p3prime import EquationParams, LaurentExpansion, RootAnchor, SignSwitch
+from p3prime import EquationParams, LaurentExpansion, RootAnchor, SignSwitch, acceptance
 from p3prime.cli import main
 from p3prime.io import (
     laurent_from_json,
@@ -23,6 +23,11 @@ from p3prime.series import run_scheme
 APX = [
     "--chi0", "-0.811597", "--chiinf", "-0.0550042",
     "--t0", "0.511115", "--sgn", "+1", "--lam3", "-9.01149",
+]
+# the worked example's flags, as the README gives them for integrate
+WORKED = [
+    "--chi0", "-0.811597", "--chiinf", "-0.0550042",
+    "--cauchy", "0.833651:0.288298:0.374531", "--span", "0.01:2",
 ]
 
 
@@ -106,6 +111,17 @@ def test_unknown_config_key_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_config_value_outside_the_choices_exit_2(tmp_path, capsys):
+    # file values pass through the flags' parser, so --format's choices hold
+    cfgfile = tmp_path / "fmt.cfg"
+    cfgfile.write_text("format = xml\n")
+    base = tmp_path / "roots"
+    args = ["find-roots", *WORKED, "--config", str(cfgfile), "--out", str(base)]
+    assert run(args) == 2
+    assert "invalid choice: 'xml'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("roots.*"))
+
+
 def test_series_json_round_trip():
     a = RootAnchor(0.9, SignSwitch(-1), 2.25)
     p = EquationParams(0.125, -1.5)
@@ -148,6 +164,58 @@ def test_analysis_commands_run(tmp_path, capsys):
     assert run(["symmetry", *common]) == 0
     out = capsys.readouterr().out
     assert "max |t/lambda - lambda_swapped|" in out
+
+
+def test_symmetry_over_the_worked_example_span(capsys):
+    # t/lam has a pole at each of the six roots in (0.01, 2); the grid stays
+    # between the two roots around its middle point, where the swapped run is
+    assert run(["symmetry", *WORKED]) == 0
+    out = capsys.readouterr().out
+    dev = float(out.rsplit("=", 1)[1])
+    assert 0 < dev <= 1e-8  # 7.4e-10
+
+
+def test_reproduce_appendix_files_and_determinism(tmp_path, capsys):
+    names = ["fig1.csv", "fig2.csv", "fig3.csv", "fig4.csv", "roots.json"]
+    first, second = tmp_path / "a", tmp_path / "b"
+    assert run(["reproduce-appendix", "--out", str(first)]) == 0
+    assert run(["reproduce-appendix", "--out", str(second)]) == 0
+    capsys.readouterr()
+    assert sorted(os.listdir(first)) == names
+    roots = json.loads((first / "roots.json").read_text())
+    assert len(roots) == len(acceptance.REF_ROOTS) == 6
+    for r, ref in zip(roots, acceptance.REF_ROOTS):
+        assert abs(r["t0"] - ref) <= 1e-3
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_bounds_prints_the_certificate(capsys):
+    assert run(["bounds", *APX, "--alpha", "0.5"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert sorted(obj) == sorted([
+        "M_lambda", "M_mu", "B_mu_lambda", "B_mu_mu", "B_xi_lambda", "B_xi_mu",
+        "Q1", "Q2", "beta", "alpha", "alpha_tilde",
+    ])
+    assert obj["alpha"] == 0.5 and 0 < obj["alpha_tilde"] <= 0.5
+
+
+def test_find_roots_launched_from_the_anchor(tmp_path, capsys):
+    # no --cauchy: the run starts 0.01 |t0| past the anchor, on its series
+    base = str(tmp_path / "anchored")
+    assert run(["find-roots", *APX, "--span", "0.3:0.9", "--out", base]) == 0
+    capsys.readouterr()
+    roots = json.loads(open(base + ".json").read())
+    assert [r["sgn"] for r in roots] == [1]
+    assert abs(roots[0]["t0"] - 0.511115) <= 1e-8
+
+
+def test_computation_failure_exit_1(tmp_path, capsys):
+    base = str(tmp_path / "fail")
+    args = ["integrate", "--chi0", "-0.811597", "--chiinf", "-0.0550042", "--span", "0.6:1.3", "--out", base]
+    assert run([*args, "--cauchy", "0.8:0:1"]) == 1  # launch on a root
+    assert "switching band" in capsys.readouterr().err
+    assert not os.path.exists(base + ".csv")
 
 
 def test_debug_log_leaves_integrate_files_unchanged(tmp_path, caplog):

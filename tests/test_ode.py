@@ -50,6 +50,11 @@ def test_input_validation():
         integrate(P, 1.0, 0.0, 1.0, (0.5, 2.0))  # launch on a root
     with pytest.raises(DomainError):
         integrate(P, 0.1, 1.0, 0.0, (0.5, 2.0))  # t_init outside span
+    # |lam| < 1e-4 |t|: the switching event of a run launched there cannot
+    # see the root next to it (stepping across such a root blindly put the
+    # worked example's lam(0.5) 3.7e-5 off)
+    with pytest.raises(DomainError, match="switching band"):
+        integrate(P, 1.0, 5e-5, 1.0, (0.5, 2.0))
 
 
 def test_appendix_roots_match(appendix_solution, appendix_roots):
@@ -177,6 +182,38 @@ def test_crossing_fit_counts_every_residual_call(worked_example_fits):
         assert res.nfev <= 15  # scipy's MINPACK fit averaged 15.1 calls
 
 
+def test_least_squares_refuses_steps_and_raises_the_damping():
+    # Rosenbrock's valley from scipy's classic start: 15 of the 36 proposed
+    # steps raise the cost and are refused, each raising mu; without that
+    # raise the fit proposes the same step until its calls run out
+    costs = []
+
+    def rosenbrock(x):
+        r = [10 * (x[1] - x[0] ** 2), 1 - x[0]]
+        costs.append(r[0] ** 2 + r[1] ** 2)
+        return r
+
+    res = least_squares(rosenbrock, [-1.2, 1.0])
+    assert res.success
+    ref = scipy_least_squares(lambda x: [10 * (x[1] - x[0] ** 2), 1 - x[0]], [-1.2, 1.0],
+                              xtol=1e-15, ftol=1e-15, gtol=1e-15, method="lm")
+    assert ref.success and list(ref.x) == pytest.approx([1.0, 1.0], abs=1e-12)
+    for mine, theirs in zip(res.x, ref.x):
+        assert abs(mine - theirs) <= 1e-12
+    # replay the calls: each iteration makes two Jacobian calls, then
+    # proposes steps until one lowers the cost
+    cost, i, refused, taken = costs[0], 1, 0, 0
+    while i + 2 < len(costs):
+        i += 2
+        for c in costs[i:]:
+            i += 1
+            if c < cost:
+                cost, taken = c, taken + 1
+                break
+            refused += 1
+    assert (refused, taken, res.nfev) == (15, 21, len(costs))
+
+
 def test_least_squares_that_cannot_converge_reports_failure():
     # the cost exp(-2 x0) + exp(-2 x1) falls forever as x grows: no minimum
     res = least_squares(lambda x: [math.exp(-x[0]), math.exp(-x[1])], [0.0, 1.0])
@@ -228,7 +265,7 @@ def test_segment_run_record(monkeypatch):
     assert all(seg.steps > 0 and seg.rhs_calls >= 12 * seg.steps for seg in sol.segments)
     assert sum(seg.rhs_calls for seg in sol.segments) == len(calls)
     ends = [seg.end for seg in sol.segments]
-    assert sum(end in ("root", "near_root") for end in ends) == len(sol.crossings) == 6
+    assert ends.count("near_root") == len(sol.crossings) == 6
     assert ends.count("pole_cap") == len(sol.pole_markers) == 0
     assert ends.count("span_end") == 2  # one per sweep direction
 
@@ -243,6 +280,23 @@ def test_crossings_match_a_tight_tolerance_run(appendix_solution):
     for c, ref in zip(appendix_solution.crossings, tight.crossings):
         assert abs(c.t0 - ref.t0) <= 1e-8 * abs(ref.t0)
         assert abs(c.lam3 - ref.lam3) <= 1e-8 * max(1.0, abs(ref.lam3))
+
+
+def test_loose_tolerance_runs_stop_at_the_switching_threshold():
+    # at rtol 1e-6 five of the worked example's six steps into a root jump
+    # the whole band |lam| < 1e-4 |t|; the signed switching event still
+    # stops each run where |lam| = 1e-4 |t| on the near side
+    t_init = acceptance.REF_CAUCHY[0]
+    sol = integrate(acceptance.REF_PARAMS, *acceptance.REF_CAUCHY, acceptance.REF_SPAN, rel_tol=1e-6, abs_tol=1e-8)
+    assert len(sol.crossings) == 6
+    stops = [seg for seg in sol.segments if seg.end != "span_end"]
+    assert [seg.end for seg in stops] == ["near_root"] * 6
+    for seg in stops:
+        t_s = seg.hi if seg.lo >= t_init else seg.lo
+        threshold = 1e-4 * abs(t_s)
+        assert abs(abs(seg.sol(t_s)[0]) - threshold) <= 1e-9 * threshold
+    for c, ref in zip(sol.crossings, acceptance.REF_ROOTS):
+        assert abs(c.t0 - ref) <= 1e-3  # criterion 3's tolerance
 
 
 def test_find_roots_empty_on_rootless_window():
