@@ -7,6 +7,8 @@ x**k).  The helpers are scalar-type agnostic: they work for floats and for
 
 from __future__ import annotations
 
+from operator import mul
+
 
 def padd(a, b):
     n = max(len(a), len(b))
@@ -41,9 +43,12 @@ def pmul(a, b, cap=None):
 
 
 def pcoef(a, b, j):
-    """Coefficient of x**j in a*b; indices past the end of a or b count as zero."""
+    """Coefficient of x**j in a*b; indices past the end of a or b count as zero.
+
+    Sums a[i] * b[j - i] over rising i, the order of the plain generator
+    form, so the result is the same bit for bit."""
     lo, hi = max(0, j - len(b) + 1), min(j, len(a) - 1)
-    return sum(a[i] * b[j - i] for i in range(lo, hi + 1))
+    return sum(map(mul, a[lo : hi + 1], b[j - hi : j - lo + 1][::-1]))
 
 
 def pshift(a, k):

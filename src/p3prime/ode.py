@@ -14,8 +14,14 @@ since the event could not see the root next to it.  The excluded zone is
 evaluated from the fitted series, so the composite solution is smooth
 through every root and every root comes with a crossing record.
 
-Poles are not crossed: when |lam| exceeds a cap the integration stops on
-that side and leaves a pole marker.
+Poles are approached in the reciprocal chart g = t/lam, which solves P-III'
+with chi0 and chi_inf swapped and has a simple root at every pole of lam.  A
+run switches to g when lam^2 > 4|t| and back to lam when g^2 > 4|t| (a
+factor-16 hysteresis); each solver run stays in one chart, and a g-chart
+segment's interpolant maps back to (lam, lam').  Poles are not crossed: when
+|lam| reaches a cap of 1e6 (s0*g - |t|/1e6 falls through zero) the
+integration stops on that side and leaves a pole marker.  Roots are crossed
+in the lam chart only.
 
 The stepping runs on ``_rk.solve_ivp``, scipy's DOP853 (order 8, with a
 7th-order dense output formed lazily) ported to Python floats.  Each solver
@@ -56,7 +62,8 @@ _EPS_SWITCH_REL = 1e-4  # |lam| < this * |t| triggers the crossing protocol
 # relaunch happens where the fitted series is still machine-accurate but the
 # cubic term is numerically alive
 _EPS_RESUME_REL = 1e-2
-_POLE_CAP = 1e6
+_POLE_CAP = 1e6  # |lam| at which a sweep stops and leaves a pole marker
+_CHART_SWITCH = 4.0  # a run leaves its chart when the chart's variable squared exceeds this * |t|
 _FIT_ORDER = 5  # cubic-factor validity used by the crossing fit
 _SQRT_EPS = math.sqrt(EPS)  # relative forward-difference step of the fit's Jacobian
 _FIT_XTOL = 1e-15  # relative size, in Jacobian-scaled units, of the step that ends the fit
@@ -110,14 +117,41 @@ class Segment:
 
     lo: float
     hi: float
-    sol: DenseOutput  # sol(t) -> [lam, lam'] over the run
+    sol: DenseOutput | _LamFromG  # sol(t) -> [lam, lam'] over the run, in either chart
     steps: int  # accepted steps
     rhs_calls: int  # right-hand-side calls during integrate: rejected steps and dense-output stages included
-    end: str  # "span_end", "near_root" (stopped at the switching threshold) or "pole_cap"
+    # "span_end", "near_root" (stopped at the switching threshold), "pole_cap"
+    # (|lam| reached the cap) or "chart_switch" (the next run steps the other chart)
+    end: str
+    chart: str = "lam"  # the variable the run stepped: "lam", or "g" = t/lam
 
 
-# why a segment ended, by the index of the terminal event that fired
-_EVENT_ENDS = ("near_root", "pole_cap")
+# why a segment ended, by chart and the index of the terminal event that fired
+_EVENT_ENDS = {"lam": ("near_root", "chart_switch"), "g": ("pole_cap", "chart_switch")}
+
+
+def _reciprocal(t, y):
+    """(v, v') -> (t/v, (v - t v')/v^2): the state in the other chart; the
+    map is its own inverse."""
+    v, vdot = y
+    return [t / v, (v - t * vdot) / (v * v)]
+
+
+class _LamFromG:
+    """A g-chart run's dense output read as (lam, lam'), for calls and for
+    the accepted states ``ys`` next to the mesh ``ts``."""
+
+    def __init__(self, g_sol: DenseOutput):
+        self.g_sol = g_sol
+        self.ts = g_sol.ts
+        self.ys = [_reciprocal(t, y) for t, y in zip(g_sol.ts, g_sol.ys)]
+
+    @property
+    def nfev(self) -> int:
+        return self.g_sol.nfev
+
+    def __call__(self, t):
+        return _reciprocal(t, self.g_sol(t))
 
 
 class _Index(NamedTuple):
@@ -339,7 +373,8 @@ def integrate(
 ) -> DenseSolution:
     """Adaptive DOP853 (order 8) integration of P-III' over ``span`` from
     Cauchy data at ``t_init``, with dense output, series-based root crossing
-    and a pole cap; integrates in both directions from t_init."""
+    and a pole cap approached in the chart g = t/lam; integrates in both
+    directions from t_init."""
     lo, hi = min(span), max(span)
     if not (lo <= t_init <= hi):
         raise DomainError("t_init must lie inside span")
@@ -347,59 +382,75 @@ def integrate(
         raise DomainError("span must not contain t = 0")
     if abs(lam0) <= _EPS_SWITCH_REL * abs(t_init):
         raise DomainError("initial lambda must lie outside the switching band |lam| <= 1e-4 |t|")
+    if not abs(lam0) < _POLE_CAP:
+        raise DomainError("initial lambda must lie below the pole cap |lam| < 1e6")
 
     sol = DenseSolution(params=p, rel_tol=rel_tol, abs_tol=abs_tol)
 
-    def rhs(t, y):
-        lam, lamdot = y
-        return (lamdot, rhs_scalar(t, lam, lamdot, p))
+    def first_order(q):
+        def rhs(t, y):
+            v, vdot = y
+            return (vdot, rhs_scalar(t, v, vdot, q))
 
-    def ev_pole(t, y):
-        return abs(y[0]) - _POLE_CAP
+        return rhs
 
-    ev_pole.direction = 1
+    rhs = {"lam": first_order(p), "g": first_order(p.swapped())}  # g = t/lam solves the swapped equation
+
+    def ev_leave(t, y):
+        return y[0] * y[0] - _CHART_SWITCH * abs(t)
+
+    ev_leave.direction = 1
 
     def sweep(t_start, y_start, t_end):
         t_cur, y_cur = t_start, list(y_start)
+        chart = "lam"
+        if y_cur[0] * y_cur[0] > _CHART_SWITCH * abs(t_cur):
+            chart, y_cur = "g", _reciprocal(t_cur, y_cur)
         direction = 1.0 if t_end > t_start else -1.0
         while (t_end - t_cur) * direction > 0:
             s0 = math.copysign(1.0, y_cur[0])
+            # lam chart: the switching band of a root; g chart: the pole cap
+            band = _EPS_SWITCH_REL if chart == "lam" else 1 / _POLE_CAP
 
             def ev_near(t, y):
-                # falls through zero at the near-side switch point and stays
-                # negative past the root, so a step that jumps the switching
-                # band still fires it and the event search finds that point
-                return s0 * y[0] - _EPS_SWITCH_REL * abs(t)
+                # falls through zero at the near-side threshold and stays
+                # negative past the zero of y[0], so a step that jumps the
+                # whole band still fires it and the event search finds that point
+                return s0 * y[0] - band * abs(t)
 
             ev_near.direction = -1
             res = solve_ivp(
-                rhs,
+                rhs[chart],
                 (t_cur, t_end),
                 y_cur,
                 rtol=rel_tol,
                 atol=abs_tol,
-                events=[ev_near, ev_pole],
+                events=[ev_near, ev_leave],
             )
             if res.status == -1:
                 raise IntegrationError(f"integration failed near t={res.t[-1]}: {res.message}")
-            seg = res.sol
+            seg = res.sol if chart == "lam" else _LamFromG(res.sol)
             if res.status == 0:  # reached t_end
                 end, t_s = "span_end", res.t[-1]
             else:
                 k = next(i for i, te in enumerate(res.t_events) if te)
-                end, t_s = _EVENT_ENDS[k], float(res.t_events[k][0])
+                end, t_s = _EVENT_ENDS[chart][k], float(res.t_events[k][0])
             if end == "near_root":
                 crossing = _crossing_from_stop(p, seg, t_s, t_cur, direction)
             # appended after the crossing fit has read the dense output, so
             # that seg.nfev counts every interpolant stage formed for it
             sol.segments.append(
-                Segment(min(t_cur, t_s), max(t_cur, t_s), seg, len(res.t) - 1, res.nfev + seg.nfev, end)
+                Segment(min(t_cur, t_s), max(t_cur, t_s), seg, len(res.t) - 1, res.nfev + seg.nfev, end, chart)
             )
             if end == "span_end":
                 return
             if end == "pole_cap":
                 sol.pole_markers.append((t_s, "right" if direction > 0 else "left"))
                 return
+            if end == "chart_switch":
+                chart = "g" if chart == "lam" else "lam"
+                t_cur, y_cur = t_s, _reciprocal(t_s, res.sol.ys[-1])
+                continue
 
             sol.crossings.append(crossing)
             t_r = crossing.zone[1] if direction > 0 else crossing.zone[0]  # the relaunch point
@@ -422,8 +473,8 @@ def integrate(
     if log is not None:
         for seg in sol.segments:
             log.debug(
-                "segment [%.17g, %.17g]: %d steps, %d rhs calls, end %s",
-                seg.lo, seg.hi, seg.steps, seg.rhs_calls, seg.end,
+                "segment [%.17g, %.17g] chart %s: %d steps, %d rhs calls, end %s",
+                seg.lo, seg.hi, seg.chart, seg.steps, seg.rhs_calls, seg.end,
             )
         for c in sol.crossings:
             log.debug(

@@ -55,6 +55,9 @@ def test_input_validation():
     # worked example's lam(0.5) 3.7e-5 off)
     with pytest.raises(DomainError, match="switching band"):
         integrate(P, 1.0, 5e-5, 1.0, (0.5, 2.0))
+    # beyond the pole cap the g chart's cap event could not fire
+    with pytest.raises(DomainError, match="pole cap"):
+        integrate(P, 1.0, -2e6, 1.0, (0.5, 2.0))
 
 
 def test_appendix_roots_match(appendix_solution, appendix_roots):
@@ -236,14 +239,15 @@ def _failure_time(exc_info, prefix):
 
 
 def test_step_size_underflow_raises(monkeypatch):
-    # lam'' = lam'^2 drives lam' like y' = y^2: it blows up at t = 1.5 while
-    # lam grows only like a logarithm, so no event stops the run first.  The
-    # last accepted step may land on either side of the blow-up, within
-    # the step size that underflowed (1.5000000000117 here)
-    monkeypatch.setattr(ode, "rhs_scalar", lambda t, lam, lamdot, p: lamdot**2)
+    # lam'' = lam'^3 from lam(0.5) = 0.5, lam'(0.5) = 1 gives
+    # lam' = 1/sqrt(2 - 2t): it blows up at t = 1 while lam stays below 1.5,
+    # inside the lam chart (lam^2 < 4t), so no event stops the run first.
+    # The last accepted step may land on either side of the blow-up, within
+    # the step size that underflowed (1.0000000000079 here)
+    monkeypatch.setattr(ode, "rhs_scalar", lambda t, lam, lamdot, p: lamdot**3)
     with pytest.raises(IntegrationError) as exc_info:
-        integrate(P, 0.5, 1.0, 1.0, (0.5, 2.5))
-    assert abs(_failure_time(exc_info, "integration failed") - 1.5) < 1e-9
+        integrate(P, 0.5, 0.5, 1.0, (0.5, 2.5))
+    assert abs(_failure_time(exc_info, "integration failed") - 1.0) < 1e-9
 
 
 def test_hamiltonian_step_size_underflow_raises(monkeypatch):
@@ -254,20 +258,31 @@ def test_hamiltonian_step_size_underflow_raises(monkeypatch):
     assert abs(_failure_time(exc_info, "Hamiltonian integration failed") - 1.0) < 1e-9
 
 
-def test_segment_run_record(monkeypatch):
+def test_segment_run_record(monkeypatch, seeded_pole_runs):
+    p_pole, args_pole, _ = seeded_pole_runs[0]
     calls = []
     rhs = ode.rhs_scalar
     monkeypatch.setattr(ode, "rhs_scalar", lambda *args: calls.append(1) or rhs(*args))
-    from p3prime.acceptance import REF_CAUCHY, REF_PARAMS, REF_SPAN
-
-    sol = integrate(REF_PARAMS, *REF_CAUCHY, REF_SPAN)
-    # 12 calls per DOP853 step attempt, plus 3 per interpolant formed during integrate
-    assert all(seg.steps > 0 and seg.rhs_calls >= 12 * seg.steps for seg in sol.segments)
-    assert sum(seg.rhs_calls for seg in sol.segments) == len(calls)
-    ends = [seg.end for seg in sol.segments]
-    assert ends.count("near_root") == len(sol.crossings) == 6
-    assert ends.count("pole_cap") == len(sol.pole_markers) == 0
+    runs = []
+    for p, args, span in ((acceptance.REF_PARAMS, acceptance.REF_CAUCHY, acceptance.REF_SPAN),
+                          (p_pole, args_pole, SEEDED_SPAN)):
+        calls.clear()
+        sol = integrate(p, *args, span)
+        # 12 calls per DOP853 step attempt, plus 3 per interpolant formed during integrate
+        assert all(seg.steps > 0 and seg.rhs_calls >= 12 * seg.steps for seg in sol.segments)
+        assert sum(seg.rhs_calls for seg in sol.segments) == len(calls)
+        ends = [seg.end for seg in sol.segments]
+        assert ends.count("near_root") == len(sol.crossings)
+        assert ends.count("pole_cap") == len(sol.pole_markers)
+        runs.append((sol, ends))
+    (worked, ends), (pole, pole_ends) = runs
+    assert len(worked.crossings) == 6 and not worked.pole_markers
     assert ends.count("span_end") == 2  # one per sweep direction
+    assert {seg.chart for seg in worked.segments} == {"lam"}
+    # the right sweep crosses a root; the left one switches to g = t/lam
+    # and stops at a pole there
+    assert pole_ends.count("pole_cap") == pole_ends.count("chart_switch") == len(pole.crossings) == 1
+    assert [seg.chart for seg in pole.segments if seg.end == "pole_cap"] == ["g"]
 
 
 def test_crossings_match_a_tight_tolerance_run(appendix_solution):
@@ -413,24 +428,159 @@ def test_symmetry_rejects_grid_on_zero(appendix_solution, appendix_roots):
         symmetry_check(appendix_solution, P, [appendix_roots[4].t0])
 
 
-def _pole_capped_solution():
-    """A run launched just left of the simple pole at 0.7, over (0.55, 0.75)."""
+def _pole_capped_solution(span=(0.55, 0.75)):
+    """A run launched just left of the simple pole at 0.7, over span."""
     from p3prime.poles import root_to_pole
 
     a = RootAnchor(0.7, SignSwitch(1), 1.5)
     le = root_to_pole(a, P, 6)
     dt0 = -0.05 * a.t0
-    return a, integrate(P, a.t0 + dt0, le.eval(dt0), le.eval_derivative(dt0), (0.55, 0.75))
+    return a, integrate(P, a.t0 + dt0, le.eval(dt0), le.eval_derivative(dt0), span)
 
 
 def test_pole_marker_on_blowup():
-    # heading into a pole stops at the cap and records the side
+    # heading into a pole stops at the cap and records the side; the launch,
+    # at |lam| = 19.5, lies beyond the chart threshold, so both sweeps step g
     a, sol = _pole_capped_solution()
     assert len(sol.pole_markers) == 1
     assert [seg.end for seg in sol.segments] == ["span_end", "pole_cap"]  # left sweep, right sweep
+    assert [seg.chart for seg in sol.segments] == ["g", "g"]
     t_p, side = sol.pole_markers[0]
     assert side == "right"
     assert abs(t_p - a.t0) < 0.01 * a.t0
+    assert abs(sol.lam(t_p)) == pytest.approx(1e6, rel=1e-9)
+
+
+SEEDED_SPAN = (0.05, 3.0)
+
+
+@pytest.fixture(scope="module")
+def seeded_pole_runs():
+    """(params, Cauchy data, solution) of the first three launches drawn as
+    the benchmark's trajectory inputs are (chi0, chi_inf in U(-1.5, 1.5),
+    t_init in U(0.2, 2.5), |lam0| in U(0.2, 1.5), lamdot0 in U(-1.5, 1.5);
+    seed 2024) whose runs over SEEDED_SPAN stop at a pole cap."""
+    rng = np.random.default_rng(2024)
+    runs = []
+    while len(runs) < 3:
+        chi0, chi_inf, t_init, lam0, lamdot0 = rng.uniform([-1.5, -1.5, 0.2, 0.2, -1.5], [1.5, 1.5, 2.5, 1.5, 1.5])
+        p = EquationParams(float(chi0), float(chi_inf))
+        args = (float(t_init), float(rng.choice([-1.0, 1.0]) * lam0), float(lamdot0))
+        sol = integrate(p, *args, SEEDED_SPAN)
+        if sol.pole_markers:
+            runs.append((p, args, sol))
+    return runs
+
+
+def _pole_approach(sol, seg):
+    """(start, marker) of the sweep into ``seg``'s pole cap: the start of the
+    lam-chart run that handed over to ``seg``, or its launch if there is none."""
+    right = (seg.hi, "right") in sol.pole_markers
+    near, marker = (seg.lo, seg.hi) if right else (seg.hi, seg.lo)
+    prev = [s for s in sol.segments if s.end == "chart_switch" and (s.hi if right else s.lo) == near]
+    if not prev:
+        return near, marker
+    assert prev[0].chart == "lam"
+    return (prev[0].lo if right else prev[0].hi), marker
+
+
+def _scipy_pole_marker(p, sol, t_a, t_end):
+    """Where scipy's DOP853, stepping lam itself from sol's state at t_a
+    toward t_end at sol's tolerances, meets |lam| = 1e6 (a terminal event)."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    from p3prime.equation import rhs_scalar
+
+    def cap(t, y):
+        return abs(y[0]) - 1e6
+
+    cap.terminal, cap.direction = True, 1
+    res = scipy_solve_ivp(lambda t, y: (y[1], rhs_scalar(t, y[0], y[1], p)), (t_a, t_end), sol.state(t_a),
+                          method="DOP853", rtol=sol.rel_tol, atol=sol.abs_tol, events=cap)
+    assert res.status == 1
+    return float(res.t_events[0][0])
+
+
+def test_pole_markers_match_scipy_in_the_lam_chart(seeded_pole_runs):
+    # the g-chart approach against scipy stepping lam into the cap from the
+    # same state: 8.3e-13 relative on the capped launch, at most 4.6e-11 on
+    # the seeded runs
+    _, capped = _pole_capped_solution()
+    runs = [(P, capped, (0.55, 0.75))] + [(p, sol, SEEDED_SPAN) for p, _, sol in seeded_pole_runs]
+    checked = 0
+    for p, sol, span in runs:
+        for seg in sol.segments:
+            if seg.end == "pole_cap":
+                t_a, t_p = _pole_approach(sol, seg)
+                ref = _scipy_pole_marker(p, sol, t_a, span[1] if t_p > t_a else span[0])
+                assert abs(t_p - ref) <= 1e-9 * abs(ref)
+                checked += 1
+    assert checked == len(capped.pole_markers) + sum(len(sol.pole_markers) for *_, sol in seeded_pole_runs) >= 4
+
+
+def test_g_chart_state_matches_the_pole_expansion():
+    # through the g chart the solution stays on the Laurent series it was
+    # launched from: over t0 - 0.05 t0 .. the marker (7.0e-7 left of the
+    # pole), g = t/lam within 5.4e-13 and g' within 1.3e-10 (the dense
+    # output's derivative), where lam itself has |lam| up to 1e6
+    from p3prime.poles import root_to_pole
+
+    a, sol = _pole_capped_solution()
+    le = root_to_pole(a, P, 6)
+    t_p = sol.pole_markers[0][0]
+    for t in np.linspace(a.t0 - 0.05 * a.t0, t_p, 401).tolist():
+        lam, lamdot = sol.state(t)
+        dt = t - a.t0
+        ref, ref_dot = le.eval(dt), le.eval_derivative(dt)
+        assert abs(t / lam - t / ref) <= 2e-12
+        assert abs((lam - t * lamdot) / lam**2 - (ref - t * ref_dot) / ref**2) <= 5e-10
+
+
+def _chart_switch_edges(sol, t_init):
+    """(t_s, segment ending there, segment starting there) per chart switch."""
+    out = []
+    for seg in sol.segments:
+        if seg.end == "chart_switch":
+            right = seg.lo >= t_init
+            t_s = seg.hi if right else seg.lo
+            (nxt,) = [s for s in sol.segments if (s.lo if right else s.hi) == t_s and s is not seg]
+            assert nxt.chart != seg.chart
+            out.append((t_s, seg, nxt))
+    return out
+
+
+def test_chart_switch_edges_are_continuous(seeded_pole_runs):
+    # at every switch the run that ends there and the one that starts there
+    # give the same (lam, lam'), the second from the first's state mapped to
+    # the other chart, so they differ only in the mapping's rounding (at
+    # most 5.5e-16 here)
+    a, wide = _pole_capped_solution((0.1, 0.75))
+    runs = [(wide, a.t0 + -0.05 * a.t0)] + [(sol, args[0]) for _, args, sol in seeded_pole_runs]
+    edges = [e for sol, t_init in runs for e in _chart_switch_edges(sol, t_init)]
+    assert len(edges) >= 4 and {seg.chart for _, seg, _ in edges} == {"lam", "g"}
+    for t_s, seg, nxt in edges:
+        for u, v in zip(seg.sol(t_s), nxt.sol(t_s)):
+            assert abs(u - v) <= 1e-12 * abs(u)
+
+
+def test_launch_beyond_the_chart_threshold_starts_in_g():
+    # lam0^2 = 379 > 4 t_init: both sweeps start in g = t/lam.  Going left,
+    # lam falls and the run hands back to lam where lam^2 = t/4, the other
+    # end of the factor-16 hysteresis
+    from p3prime.poles import root_to_pole
+
+    a, sol = _pole_capped_solution((0.1, 0.75))
+    dt0 = -0.05 * a.t0
+    t_init = a.t0 + dt0  # the launch point of _pole_capped_solution
+    le = root_to_pole(a, P, 6)
+    lam0, lamdot0 = le.eval(dt0), le.eval_derivative(dt0)
+    assert lam0**2 > 4 * t_init
+    charts_and_ends = [(seg.chart, seg.end) for seg in sol.segments]
+    assert charts_and_ends == [("lam", "span_end"), ("g", "chart_switch"), ("g", "pole_cap")]
+    t_s = sol.segments[0].hi
+    lam_s = sol.state(t_s)[0]
+    assert lam_s**2 == pytest.approx(t_s / 4, rel=1e-9)
+    assert sol.state(t_init) == pytest.approx((lam0, lamdot0), rel=4 * _rk.EPS)
 
 
 def test_third_derivative_curve_readback(appendix_solution):
@@ -580,7 +730,7 @@ def test_integrate_logs_each_segment_and_crossing_at_debug(caplog):
     lines = [r.getMessage() for r in caplog.records if r.name == "p3prime.ode"]
     assert len(lines) == len(sol.segments) + len(sol.crossings)
     for line, seg in zip(lines, sol.segments):
-        assert line == (f"segment [{seg.lo:.17g}, {seg.hi:.17g}]: {seg.steps} steps, "
+        assert line == (f"segment [{seg.lo:.17g}, {seg.hi:.17g}] chart {seg.chart}: {seg.steps} steps, "
                         f"{seg.rhs_calls} rhs calls, end {seg.end}")
     for line, c in zip(lines[len(sol.segments):], sol.crossings):
         assert line == (f"crossing t0={c.t0:.17g} lam3={c.lam3:.17g} "

@@ -155,6 +155,21 @@ def test_sigma_average_matches_quadrature(coeffs, extra):
     assert val == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
+_floats = st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8)
+_fractions = st.lists(st.fractions(max_denominator=10**6), min_size=1, max_size=8)
+
+
+@given(st.one_of(st.tuples(_floats, _floats), st.tuples(_fractions, _fractions)))
+def test_pcoef_is_the_generator_sum_bit_for_bit(ab):
+    # the same terms summed in the same order, at every j up to one past the
+    # product's degree; repr tells 0 from 0.0 and -0.0
+    a, b = ab
+    for j in range(len(a) + len(b)):
+        lo, hi = max(0, j - len(b) + 1), min(j, len(a) - 1)
+        want = sum(a[i] * b[j - i] for i in range(lo, hi + 1))
+        assert repr(_poly.pcoef(a, b, j)) == repr(want)
+
+
 def test_step_mu_from_zero_reproduces_starting_polynomial():
     _, mu1 = init_pair(A, P)
     got = step_mu(zero_series(A), zero_series(A), A, P)
