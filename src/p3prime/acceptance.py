@@ -274,7 +274,13 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
 def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Cross-formulation consistency: Hamiltonian vs scalar integration to
     1e-6 between consecutive roots; vector field vs finite-difference
-    gradients of the Hamiltonian to 1e-7 at 100 random points."""
+    gradients of the Hamiltonian to 1e-7 at 100 random points.
+
+    The reference solution is not scalar over the whole window: it steps the
+    last stretch before each root in the (lam, mu) chart, so on the worked
+    example [1.2525, 1.3] of [0.6, 1.3] is itself a Hamiltonian run (sg = -1,
+    launched from lam-chart data at |lam| = 0.1 t).  Only on [0.6, 1.2525]
+    are the two formulations independent."""
 
     def body():
         sol = reference_solution()

@@ -172,6 +172,24 @@ def hamilton_rhs(pt: PhasePoint, p: EquationParams, s: SignSwitch) -> tuple[floa
     return lam_dot, mu_dot
 
 
+def hamilton_field(p: EquationParams, s: SignSwitch):
+    """``hamilton_rhs`` as a first-order right-hand side f(t, [lam, mu]) for
+    the integrators, with the constants of (p, s) formed once; t != 0 is
+    the caller's to ensure."""
+    sg = s.sgn
+    a = sg * p.chi0 - 1
+    c = -0.5 * (p.chi_inf + sg * p.chi0 - 1)
+
+    def field(t, y):
+        lam, mu = y
+        return (
+            (sg * t - a * lam + (2 * mu - 1) * lam**2) / t,
+            (c + (a + 2 * lam) * mu - 2 * lam * mu**2) / t,
+        )
+
+    return field
+
+
 def mu_from_lambda(t: float, lam: float, lam_dot: float, s: SignSwitch, p: EquationParams) -> float:
     """Conjugate momentum eliminated from the first Hamilton equation.
 

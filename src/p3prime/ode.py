@@ -20,8 +20,18 @@ run switches to g when lam^2 > 4|t| and back to lam when g^2 > 4|t| (a
 factor-16 hysteresis); each solver run stays in one chart, and a g-chart
 segment's interpolant maps back to (lam, lam').  Poles are not crossed: when
 |lam| reaches a cap of 1e6 (s0*g - |t|/1e6 falls through zero) the
-integration stops on that side and leaves a pole marker.  Roots are crossed
-in the lam chart only.
+integration stops on that side and leaves a pole marker.
+
+The last stretch before and after each root is stepped in the Hamiltonian
+chart (lam, mu), on the polynomial vector field of the sign switch sg that
+matches the slope at the root, where mu is regular and the scalar
+right-hand side is a 0/0 cancellation.  A lam-chart run hands over when
+s0*lam falls to 0.1|t|, with sg = sign(lam') there, and the relaunch past a
+crossed root starts in (lam, mu) with that root's switch.  A mu-chart run
+stops on the same switching event as the lam chart, and hands back to lam
+when |lam| rises to 0.2|t| or when |lam' - sg| rises to 1, where lam turns
+back toward a root of the other slope, at which this mu has a double pole.
+Its segment's interpolant maps back to (lam, lam'), lam' from the field.
 
 The stepping runs on ``_rk.solve_ivp``, scipy's DOP853 (order 8, with a
 7th-order dense output formed lazily) ported to Python floats.  Each solver
@@ -47,10 +57,10 @@ from ._rk import EPS, DenseOutput, brentq, solve_ivp
 from .equation import (
     DomainError,
     EquationParams,
-    PhasePoint,
     RootAnchor,
     SignSwitch,
-    hamilton_rhs,
+    hamilton_field,
+    mu_from_lambda,
     rhs_scalar,
     third_derivative,
 )
@@ -64,6 +74,14 @@ _EPS_SWITCH_REL = 1e-4  # |lam| < this * |t| triggers the crossing protocol
 _EPS_RESUME_REL = 1e-2
 _POLE_CAP = 1e6  # |lam| at which a sweep stops and leaves a pole marker
 _CHART_SWITCH = 4.0  # a run leaves its chart when the chart's variable squared exceeds this * |t|
+# the last stretch before and after a root is stepped in (lam, mu): a run
+# enters that chart when |lam| falls to _MU_ENTER |t| and leaves it when
+# |lam| rises to _MU_LEAVE |t|, or when |lam' - sg| rises to _MU_BLOWUP:
+# mu = (... + (lam' - sg) t)/(2 lam^2) has a double pole at a root where
+# lam' = -sg, which is where lam heads once it turns back (lam' = 0)
+_MU_ENTER = 0.1
+_MU_LEAVE = 0.2
+_MU_BLOWUP = 1.0
 _FIT_ORDER = 5  # cubic-factor validity used by the crossing fit
 _SQRT_EPS = math.sqrt(EPS)  # relative forward-difference step of the fit's Jacobian
 _FIT_XTOL = 1e-15  # relative size, in Jacobian-scaled units, of the step that ends the fit
@@ -109,6 +127,7 @@ class CrossingRecord:
     series: DtSeries  # assembled lam expansion anchored at t0
     fit_nfev: int  # residual calls of the crossing fit, Jacobians included
     fit_residual: float  # 2-norm of the fit's residuals at (t0, lam3)
+    chart: str  # the chart of the run that stopped before the root: "mu", or "lam" if it started inside |lam| < 0.1|t|
 
 
 @dataclass(frozen=True)
@@ -117,17 +136,24 @@ class Segment:
 
     lo: float
     hi: float
-    sol: DenseOutput | _LamFromG  # sol(t) -> [lam, lam'] over the run, in either chart
+    sol: DenseOutput | _LamFrom  # sol(t) -> [lam, lam'] over the run, in any chart
     steps: int  # accepted steps
     rhs_calls: int  # right-hand-side calls during integrate: rejected steps and dense-output stages included
     # "span_end", "near_root" (stopped at the switching threshold), "pole_cap"
-    # (|lam| reached the cap) or "chart_switch" (the next run steps the other chart)
+    # (|lam| reached the cap) or "chart_switch" (the next run steps another chart)
     end: str
-    chart: str = "lam"  # the variable the run stepped: "lam", or "g" = t/lam
+    # the variable the run stepped: "lam", "g" = t/lam, or "mu" = (lam, mu)
+    # on the Hamilton field of the slope-matching switch
+    chart: str = "lam"
 
 
-# why a segment ended, by chart and the index of the terminal event that fired
-_EVENT_ENDS = {"lam": ("near_root", "chart_switch"), "g": ("pole_cap", "chart_switch")}
+# per chart, for the index of the terminal event that fired: why the segment
+# ended and the chart of the next run (past a crossed root, the relaunch)
+_EVENT_ENDS = {
+    "lam": (("near_root", "mu"), ("chart_switch", "g"), ("chart_switch", "mu")),
+    "g": (("pole_cap", None), ("chart_switch", "lam")),
+    "mu": (("near_root", "mu"), ("chart_switch", "lam"), ("chart_switch", "lam")),
+}
 
 
 def _reciprocal(t, y):
@@ -137,21 +163,53 @@ def _reciprocal(t, y):
     return [t / v, (v - t * vdot) / (v * v)]
 
 
-class _LamFromG:
-    """A g-chart run's dense output read as (lam, lam'), for calls and for
-    the accepted states ``ys`` next to the mesh ``ts``."""
+def _lam_on(hamilton):
+    """(lam, mu) -> (lam, lam'), with lam' from the Hamilton field."""
 
-    def __init__(self, g_sol: DenseOutput):
-        self.g_sol = g_sol
-        self.ts = g_sol.ts
-        self.ys = [_reciprocal(t, y) for t, y in zip(g_sol.ts, g_sol.ys)]
+    def to_lam(t, y):
+        return [y[0], hamilton(t, y)[0]]
+
+    return to_lam
+
+
+def _band_event(s0, level, direction):
+    """Terminal event s0*lam - level*|t| through zero in ``direction``."""
+
+    def event(t, y):
+        return s0 * y[0] - level * abs(t)
+
+    event.direction = direction
+    return event
+
+
+def _slope_event(to_lam, sg):
+    """Terminal event |lam' - sg| - _MU_BLOWUP rising through zero, with
+    lam' from the mu chart's ``to_lam``."""
+
+    def event(t, y):
+        return abs(to_lam(t, y)[1] - sg) - _MU_BLOWUP
+
+    event.direction = 1
+    return event
+
+
+class _LamFrom:
+    """A g- or mu-chart run's dense output read as (lam, lam') through
+    ``to_lam(t, y)``, for calls and for the accepted states ``ys`` next to
+    the mesh ``ts``."""
+
+    def __init__(self, sol: DenseOutput, to_lam):
+        self.sol = sol
+        self.to_lam = to_lam
+        self.ts = sol.ts
+        self.ys = [to_lam(t, y) for t, y in zip(sol.ts, sol.ys)]
 
     @property
     def nfev(self) -> int:
-        return self.g_sol.nfev
+        return self.sol.nfev
 
     def __call__(self, t):
-        return _reciprocal(t, self.g_sol(t))
+        return self.to_lam(t, self.sol(t))
 
 
 class _Index(NamedTuple):
@@ -316,9 +374,9 @@ def least_squares(fun, x0):
     return FitResult(x, r, False, "The maximum number of function evaluations is exceeded.", nfev)
 
 
-def _crossing_from_stop(p, inner, t_s, t_start, direction) -> CrossingRecord:
-    """Cross the root ahead of the near-side stop point t_s of a run that
-    started at t_start and sweeps in ``direction`` (+1 or -1).
+def _crossing_from_stop(p, inner, t_s, t_start, direction, chart) -> CrossingRecord:
+    """Cross the root ahead of the near-side stop point t_s of a run in
+    ``chart`` that started at t_start and sweeps in ``direction`` (+1 or -1).
 
     Fits (t0, lam3) of the local root expansion to (t, lam, lam') at t_s and
     at a window point further back in the run, so that the cubic coefficient
@@ -359,7 +417,7 @@ def _crossing_from_stop(p, inner, t_s, t_start, direction) -> CrossingRecord:
     series = assemble_lambda(a, taylor_at_root(a, p, _FIT_ORDER), p)
     t_r = t0 + direction * _EPS_RESUME_REL * abs(t0)
     zone = (min(t_s, t_r), max(t_s, t_r))
-    return CrossingRecord(t0, sgn, lam3, zone, series, fit.nfev, math.hypot(*fit.fun))
+    return CrossingRecord(t0, sgn, lam3, zone, series, fit.nfev, math.hypot(*fit.fun), chart)
 
 
 def integrate(
@@ -373,8 +431,8 @@ def integrate(
 ) -> DenseSolution:
     """Adaptive DOP853 (order 8) integration of P-III' over ``span`` from
     Cauchy data at ``t_init``, with dense output, series-based root crossing
-    and a pole cap approached in the chart g = t/lam; integrates in both
-    directions from t_init."""
+    approached in the chart (lam, mu) and a pole cap approached in the chart
+    g = t/lam; integrates in both directions from t_init."""
     lo, hi = min(span), max(span)
     if not (lo <= t_init <= hi):
         raise DomainError("t_init must lie inside span")
@@ -395,6 +453,7 @@ def integrate(
         return rhs
 
     rhs = {"lam": first_order(p), "g": first_order(p.swapped())}  # g = t/lam solves the swapped equation
+    fields = {sg: hamilton_field(p, SignSwitch(sg)) for sg in (1, -1)}  # the mu chart's, per switch
 
     def ev_leave(t, y):
         return y[0] * y[0] - _CHART_SWITCH * abs(t)
@@ -402,41 +461,42 @@ def integrate(
     ev_leave.direction = 1
 
     def sweep(t_start, y_start, t_end):
-        t_cur, y_cur = t_start, list(y_start)
-        chart = "lam"
-        if y_cur[0] * y_cur[0] > _CHART_SWITCH * abs(t_cur):
-            chart, y_cur = "g", _reciprocal(t_cur, y_cur)
+        # y_lam: (lam, lam') where the next run starts; sg: its switch in the mu chart
+        t_cur, y_lam, chart, sg = t_start, list(y_start), "lam", None
         direction = 1.0 if t_end > t_start else -1.0
         while (t_end - t_cur) * direction > 0:
+            if chart == "lam" and y_lam[0] * y_lam[0] > _CHART_SWITCH * abs(t_cur):
+                chart = "g"  # a launch, or any hand-back to lam, beyond the threshold steps g
+            if chart == "lam":
+                fun, y_cur, view = rhs["lam"], y_lam, None
+            elif chart == "g":
+                fun, y_cur, view = rhs["g"], _reciprocal(t_cur, y_lam), _reciprocal
+            else:
+                fun, view = fields[sg], _lam_on(fields[sg])
+                y_cur = [y_lam[0], mu_from_lambda(t_cur, *y_lam, SignSwitch(sg), p)]
             s0 = math.copysign(1.0, y_cur[0])
-            # lam chart: the switching band of a root; g chart: the pole cap
-            band = _EPS_SWITCH_REL if chart == "lam" else 1 / _POLE_CAP
-
-            def ev_near(t, y):
-                # falls through zero at the near-side threshold and stays
-                # negative past the zero of y[0], so a step that jumps the
-                # whole band still fires it and the event search finds that point
-                return s0 * y[0] - band * abs(t)
-
-            ev_near.direction = -1
-            res = solve_ivp(
-                rhs[chart],
-                (t_cur, t_end),
-                y_cur,
-                rtol=rel_tol,
-                atol=abs_tol,
-                events=[ev_near, ev_leave],
-            )
+            # each chart's first event falls through zero at the near-side
+            # threshold (lam, mu: the switching band of a root; g: the pole
+            # cap) and stays negative past the zero of y[0], so a step that
+            # jumps the whole band still fires it and the event search finds
+            # that point
+            if chart == "lam":
+                events = [_band_event(s0, _EPS_SWITCH_REL, -1), ev_leave, _band_event(s0, _MU_ENTER, -1)]
+            elif chart == "g":
+                events = [_band_event(s0, 1 / _POLE_CAP, -1), ev_leave]
+            else:
+                events = [_band_event(s0, _EPS_SWITCH_REL, -1), _band_event(s0, _MU_LEAVE, 1), _slope_event(view, sg)]
+            res = solve_ivp(fun, (t_cur, t_end), y_cur, rtol=rel_tol, atol=abs_tol, events=events)
             if res.status == -1:
                 raise IntegrationError(f"integration failed near t={res.t[-1]}: {res.message}")
-            seg = res.sol if chart == "lam" else _LamFromG(res.sol)
+            seg = res.sol if view is None else _LamFrom(res.sol, view)
             if res.status == 0:  # reached t_end
-                end, t_s = "span_end", res.t[-1]
+                (end, nxt), t_s = ("span_end", None), res.t[-1]
             else:
                 k = next(i for i, te in enumerate(res.t_events) if te)
-                end, t_s = _EVENT_ENDS[chart][k], float(res.t_events[k][0])
+                (end, nxt), t_s = _EVENT_ENDS[chart][k], float(res.t_events[k][0])
             if end == "near_root":
-                crossing = _crossing_from_stop(p, seg, t_s, t_cur, direction)
+                crossing = _crossing_from_stop(p, seg, t_s, t_cur, direction, chart)
             # appended after the crossing fit has read the dense output, so
             # that seg.nfev counts every interpolant stage formed for it
             sol.segments.append(
@@ -448,8 +508,9 @@ def integrate(
                 sol.pole_markers.append((t_s, "right" if direction > 0 else "left"))
                 return
             if end == "chart_switch":
-                chart = "g" if chart == "lam" else "lam"
-                t_cur, y_cur = t_s, _reciprocal(t_s, res.sol.ys[-1])
+                t_cur, y_lam, chart = t_s, seg.ys[-1], nxt
+                if chart == "mu":
+                    sg = 1 if y_lam[1] > 0 else -1  # the switch that matches the slope at the root ahead
                 continue
 
             sol.crossings.append(crossing)
@@ -457,11 +518,8 @@ def integrate(
             if (t_end - t_r) * direction <= 0:
                 return
             dt_r = t_r - crossing.t0
-            y_cur = [
-                series_eval(crossing.series, dt_r),
-                series_eval_derivative(crossing.series, dt_r),
-            ]
-            t_cur = t_r
+            t_cur, chart, sg = t_r, nxt, crossing.sgn
+            y_lam = [series_eval(crossing.series, dt_r), series_eval_derivative(crossing.series, dt_r)]
 
     if hi > t_init:
         sweep(t_init, (lam0, lamdot0), hi)
@@ -478,8 +536,8 @@ def integrate(
             )
         for c in sol.crossings:
             log.debug(
-                "crossing t0=%.17g lam3=%.17g fit_nfev=%d fit_residual=%.3e",
-                c.t0, c.lam3, c.fit_nfev, c.fit_residual,
+                "crossing t0=%.17g lam3=%.17g fit_nfev=%d fit_residual=%.3e, approach chart %s",
+                c.t0, c.lam3, c.fit_nfev, c.fit_residual, c.chart,
             )
     return sol
 
@@ -496,13 +554,11 @@ def integrate_hamiltonian(
 ):
     """Plain dense integration of the coupled Hamilton system (lam, mu) for
     one fixed sign switch; no root crossing (mu is regular at matching-sign
-    roots).  Returns the kernel's result: ``.sol(t)`` gives (lam, mu) and
+    roots), on the same ``hamilton_field`` as the mu chart of ``integrate``.
+    Returns the kernel's result: ``.sol(t)`` gives (lam, mu) and
     ``.t`` the accepted steps.  Raises IntegrationError naming t if the step
     size underflows before the span end."""
-    def rhs(t, y):
-        return hamilton_rhs(PhasePoint(t, y[0], y[1]), p, s)
-
-    res = solve_ivp(rhs, span, [lam0, mu0], rtol=rel_tol, atol=abs_tol)
+    res = solve_ivp(hamilton_field(p, s), span, [lam0, mu0], rtol=rel_tol, atol=abs_tol)
     if res.status != 0:
         raise IntegrationError(f"Hamiltonian integration failed near t={res.t[-1]}: {res.message}")
     return res

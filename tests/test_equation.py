@@ -24,7 +24,7 @@ from p3prime import (
     w_lambda,
     w_mu,
 )
-from p3prime.equation import invert_p3prime_params
+from p3prime.equation import hamilton_field, invert_p3prime_params
 from p3prime.series import assemble_lambda, run_scheme, series_eval, series_eval_derivative
 
 
@@ -151,6 +151,20 @@ def test_hamilton_rhs_is_hamiltonian_gradient():
         ) / (2 * h)
         assert ld == pytest.approx(dmu, rel=1e-7, abs=1e-7)
         assert md == pytest.approx(-dlam, rel=1e-7, abs=1e-7)
+
+
+def test_hamilton_field_is_hamilton_rhs():
+    # the integrators' first-order form, built once per (p, s), gives the
+    # pointwise vector field bit for bit, the same sums in the same order
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        p = EquationParams(*rng.uniform(-3, 3, 2).tolist())
+        for sgn in (1, -1):
+            field = hamilton_field(p, SignSwitch(sgn))
+            for _ in range(10):
+                t = float(rng.choice([-1, 1]) * rng.uniform(0.05, 3))
+                lam, mu = rng.uniform(-2, 2, 2).tolist()
+                assert field(t, [lam, mu]) == hamilton_rhs(PhasePoint(t, lam, mu), p, SignSwitch(sgn))
 
 
 def test_scalar_equation_equals_eliminated_hamiltonian_form():

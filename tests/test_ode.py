@@ -28,7 +28,7 @@ from p3prime.ode import (
     root_slope,
     symmetry_check,
 )
-from p3prime.series import assemble_lambda, run_scheme, series_eval, series_eval_derivative
+from p3prime.series import assemble_lambda, run_scheme, series_eval, series_eval_derivative, taylor_at_root
 
 P = EquationParams(-0.811597, -0.0550042)
 KNOWN_ROOTS = (0.0159082, 0.0427774, 0.0901638, 0.242530, 0.511115, 1.38175)
@@ -252,7 +252,7 @@ def test_step_size_underflow_raises(monkeypatch):
 
 def test_hamiltonian_step_size_underflow_raises(monkeypatch):
     # y' = y^2, y(0) = 1 blows up at t = 1 (the run stops at 1.0000000000119)
-    monkeypatch.setattr(ode, "hamilton_rhs", lambda pt, p, s: (pt.lam**2, 0.0))
+    monkeypatch.setattr(ode, "hamilton_field", lambda p, s: lambda t, y: (y[0] ** 2, 0.0))
     with pytest.raises(IntegrationError) as exc_info:
         integrate_hamiltonian(P, SignSwitch(1), 0.0, 1.0, 0.0, (0.0, 2.0))
     assert abs(_failure_time(exc_info, "Hamiltonian integration failed") - 1.0) < 1e-9
@@ -260,9 +260,17 @@ def test_hamiltonian_step_size_underflow_raises(monkeypatch):
 
 def test_segment_run_record(monkeypatch, seeded_pole_runs):
     p_pole, args_pole, _ = seeded_pole_runs[0]
+    # the calls of both right-hand sides the runs step: the scalar one of the
+    # lam and g charts and the Hamilton field of the mu chart (the mu chart's
+    # events and its map to (lam, lam') evaluate the field too, but do not
+    # step it, so the count wraps what each run is handed)
     calls = []
-    rhs = ode.rhs_scalar
-    monkeypatch.setattr(ode, "rhs_scalar", lambda *args: calls.append(1) or rhs(*args))
+    solve = ode.solve_ivp
+
+    def counted_solve(fun, *args, **kwargs):
+        return solve(lambda t, y: calls.append(1) or fun(t, y), *args, **kwargs)
+
+    monkeypatch.setattr(ode, "solve_ivp", counted_solve)
     runs = []
     for p, args, span in ((acceptance.REF_PARAMS, acceptance.REF_CAUCHY, acceptance.REF_SPAN),
                           (p_pole, args_pole, SEEDED_SPAN)):
@@ -274,15 +282,21 @@ def test_segment_run_record(monkeypatch, seeded_pole_runs):
         ends = [seg.end for seg in sol.segments]
         assert ends.count("near_root") == len(sol.crossings)
         assert ends.count("pole_cap") == len(sol.pole_markers)
+        # every root is approached in the mu chart
+        assert [seg.chart for seg in sol.segments if seg.end == "near_root"] == ["mu"] * len(sol.crossings)
         runs.append((sol, ends))
     (worked, ends), (pole, pole_ends) = runs
     assert len(worked.crossings) == 6 and not worked.pole_markers
     assert ends.count("span_end") == 2  # one per sweep direction
-    assert {seg.chart for seg in worked.segments} == {"lam"}
-    # the right sweep crosses a root; the left one switches to g = t/lam
-    # and stops at a pole there
-    assert pole_ends.count("pole_cap") == pole_ends.count("chart_switch") == len(pole.crossings) == 1
-    assert [seg.chart for seg in pole.segments if seg.end == "pole_cap"] == ["g"]
+    assert {seg.chart for seg in worked.segments} == {"lam", "mu"}
+    # the left sweep switches to g = t/lam and stops at a pole there; the
+    # right one enters mu, crosses a root, and hands back to lam from the
+    # relaunch past it
+    assert [(seg.chart, seg.end) for seg in pole.segments] == [
+        ("g", "pole_cap"), ("lam", "chart_switch"),
+        ("lam", "chart_switch"), ("mu", "near_root"), ("mu", "chart_switch"), ("lam", "span_end"),
+    ]
+    assert len(pole.crossings) == 1
 
 
 def test_crossings_match_a_tight_tolerance_run(appendix_solution):
@@ -298,15 +312,17 @@ def test_crossings_match_a_tight_tolerance_run(appendix_solution):
 
 
 def test_loose_tolerance_runs_stop_at_the_switching_threshold():
-    # at rtol 1e-6 five of the worked example's six steps into a root jump
-    # the whole band |lam| < 1e-4 |t|; the signed switching event still
-    # stops each run where |lam| = 1e-4 |t| on the near side
+    # in the mu chart each of the worked example's six steps into a root
+    # jumps the whole band |lam| < 1e-4 |t| (at rtol 1e-6 as at the default
+    # 1e-10); the signed switching event still stops each run where
+    # |lam| = 1e-4 |t| on the near side
     t_init = acceptance.REF_CAUCHY[0]
     sol = integrate(acceptance.REF_PARAMS, *acceptance.REF_CAUCHY, acceptance.REF_SPAN, rel_tol=1e-6, abs_tol=1e-8)
     assert len(sol.crossings) == 6
     stops = [seg for seg in sol.segments if seg.end != "span_end"]
-    assert [seg.end for seg in stops] == ["near_root"] * 6
-    for seg in stops:
+    near = [seg for seg in stops if seg.end == "near_root"]
+    assert len(near) == 6 and {seg.end for seg in stops} == {"near_root", "chart_switch"}
+    for seg in near:
         t_s = seg.hi if seg.lo >= t_init else seg.lo
         threshold = 1e-4 * abs(t_s)
         assert abs(abs(seg.sol(t_s)[0]) - threshold) <= 1e-9 * threshold
@@ -451,6 +467,23 @@ def test_pole_marker_on_blowup():
     assert abs(sol.lam(t_p)) == pytest.approx(1e6, rel=1e-9)
 
 
+def test_mirrored_run_at_negative_t():
+    # -lam(-t) solves P-III' with chi_inf negated, so the capped launch
+    # mirrored to t < 0 must meet the cap at the mirrored point, where
+    # g = t/lam has the sign opposite to lam's, and its states must mirror
+    a, sol = _pole_capped_solution((0.1, 0.75))
+    t_init = a.t0 - 0.05 * a.t0
+    lam0, lamdot0 = sol.state(t_init)
+    mirror = integrate(EquationParams(P.chi0, -P.chi_inf), -t_init, -lam0, lamdot0, (-0.75, -0.1))
+    ((t_p, side),), ((m_p, m_side),) = sol.pole_markers, mirror.pole_markers
+    assert (side, m_side) == ("right", "left") and m_p == pytest.approx(-t_p, rel=1e-9)
+    assert [seg.chart for seg in mirror.segments] == [seg.chart for seg in reversed(sol.segments)]
+    for t in np.linspace(0.1, sol.pole_markers[0][0], 51).tolist():
+        lam, lamdot = sol.state(t)
+        m_lam, m_lamdot = mirror.state(-t)
+        assert abs(m_lam + lam) <= 1e-9 * max(1.0, abs(lam)) and abs(m_lamdot - lamdot) <= 1e-9 * max(1.0, abs(lamdot))
+
+
 SEEDED_SPAN = (0.05, 3.0)
 
 
@@ -536,8 +569,57 @@ def test_g_chart_state_matches_the_pole_expansion():
         assert abs((lam - t * lamdot) / lam**2 - (ref - t * ref_dot) / ref**2) <= 5e-10
 
 
+@pytest.mark.parametrize("side", [-1, 1])
+def test_mu_chart_state_matches_the_root_expansion(side):
+    # launched from the order-20 root series 0.15 t0 to one side of the root
+    # at 0.511115, a sweep toward it steps lam until |lam| = 0.1|t| and
+    # (lam, mu) from there to the crossing stop.  Over that mu-chart run lam
+    # stays within 2.9e-13 of the series, lam' within 5.9e-12 and mu within
+    # 6.5e-10 of the order-20 momentum series
+    a = RootAnchor(0.511115, SignSwitch(1), -9.01149)
+    lam = assemble_lambda(a, taylor_at_root(a, P, 20), P)
+    mu = run_scheme(a, P, 20)[1]
+    dt0 = side * 0.15 * a.t0
+    span = tuple(sorted((a.t0 + dt0, a.t0 - side * 0.05 * a.t0)))
+    sol = integrate(P, a.t0 + dt0, series_eval(lam, dt0), series_eval_derivative(lam, dt0), span)
+    (c,) = sol.crossings
+    (seg,) = [s for s in sol.segments if s.end == "near_root"]
+    assert seg.chart == c.chart == "mu"
+    assert abs(c.t0 - a.t0) <= 1e-11
+    entry = seg.lo if side < 0 else seg.hi
+    assert abs(sol.lam(entry)) == pytest.approx(0.1 * entry, rel=1e-9)  # handed over from lam there
+    for t in np.linspace(seg.lo, seg.hi, 201).tolist():
+        lam_t, lamdot_t = sol.state(t)
+        assert abs(lam_t - series_eval(lam, t - a.t0)) <= 2e-12
+        assert abs(lamdot_t - series_eval_derivative(lam, t - a.t0)) <= 5e-11
+        assert abs(seg.sol.sol(t)[1] - series_eval(mu, t - a.t0)) <= 5e-9
+
+
+def test_lam_turning_back_inside_the_band_leaves_the_mu_chart():
+    # past the root at 2.0108 the relaunch steps mu with that root's switch
+    # sg = -1.  lam then turns back at |lam| = 0.063|t|, inside the band, and
+    # heads for a root of slope +1, where the mu of sg = -1 has a double pole.
+    # The run leaves where |lam' - sg| rises to 1 (at lam' = 0), and the lam
+    # chart steps on to that root
+    p = EquationParams(2.621556470340397, 1.0180671591375097)
+    args = (2.2639141512428314, -0.2085128481189048, -0.326870560575625)
+    sol = integrate(p, *args, (1.5, 2.3))
+    assert [(c.sgn, c.chart) for c in sol.crossings] == [(1, "lam"), (-1, "lam")]
+    (seg,) = [s for s in sol.segments if s.chart == "mu" and s.end == "chart_switch"]
+    t_s = seg.lo  # the left sweep's exit
+    lam, lamdot = seg.sol(t_s)
+    assert abs(lam) < 0.1 * t_s and abs(lamdot) < 1e-12
+    (nxt,) = [s for s in sol.segments if s.hi == t_s]
+    assert (nxt.chart, nxt.end) == ("lam", "near_root")
+    assert sol.t_min == 1.5 and sol.t_max == 2.3
+    tight = integrate(p, *args, (1.5, 2.3), rel_tol=1e-13, abs_tol=1e-15)
+    for c, ref in zip(sol.crossings, tight.crossings):
+        assert abs(c.t0 - ref.t0) <= 1e-8 * ref.t0
+
+
 def _chart_switch_edges(sol, t_init):
-    """(t_s, segment ending there, segment starting there) per chart switch."""
+    """(t_s, segment ending there, segment starting there, sweep direction)
+    per chart switch."""
     out = []
     for seg in sol.segments:
         if seg.end == "chart_switch":
@@ -545,20 +627,25 @@ def _chart_switch_edges(sol, t_init):
             t_s = seg.hi if right else seg.lo
             (nxt,) = [s for s in sol.segments if (s.lo if right else s.hi) == t_s and s is not seg]
             assert nxt.chart != seg.chart
-            out.append((t_s, seg, nxt))
+            out.append((t_s, seg, nxt, 1 if right else -1))
     return out
 
 
-def test_chart_switch_edges_are_continuous(seeded_pole_runs):
+def test_chart_switch_edges_are_continuous(seeded_pole_runs, appendix_solution):
     # at every switch the run that ends there and the one that starts there
     # give the same (lam, lam'), the second from the first's state mapped to
-    # the other chart, so they differ only in the mapping's rounding (at
-    # most 5.5e-16 here)
+    # the other chart, so they differ only in the mapping's rounding: at
+    # most 5.5e-16 from lam to g and 1.2e-16 from lam to mu (lam' goes
+    # through mu = (... + (lam' - sg) t)/(2 lam^2) and back); none where a
+    # run hands back to lam, which starts from the state it is handed
     a, wide = _pole_capped_solution((0.1, 0.75))
-    runs = [(wide, a.t0 + -0.05 * a.t0)] + [(sol, args[0]) for _, args, sol in seeded_pole_runs]
+    runs = [(wide, a.t0 + -0.05 * a.t0), (appendix_solution, acceptance.REF_CAUCHY[0])]
+    runs += [(sol, args[0]) for _, args, sol in seeded_pole_runs]
     edges = [e for sol, t_init in runs for e in _chart_switch_edges(sol, t_init)]
-    assert len(edges) >= 4 and {seg.chart for _, seg, _ in edges} == {"lam", "g"}
-    for t_s, seg, nxt in edges:
+    kinds = {(seg.chart, nxt.chart, direction) for _, seg, nxt, direction in edges}
+    assert {("lam", "mu", 1), ("lam", "mu", -1), ("mu", "lam", 1), ("mu", "lam", -1)} <= kinds
+    assert {(seg, nxt) for seg, nxt, _ in kinds} == {("lam", "g"), ("g", "lam"), ("lam", "mu"), ("mu", "lam")}
+    for t_s, seg, nxt, _ in edges:
         for u, v in zip(seg.sol(t_s), nxt.sol(t_s)):
             assert abs(u - v) <= 1e-12 * abs(u)
 
@@ -734,7 +821,7 @@ def test_integrate_logs_each_segment_and_crossing_at_debug(caplog):
                         f"{seg.rhs_calls} rhs calls, end {seg.end}")
     for line, c in zip(lines[len(sol.segments):], sol.crossings):
         assert line == (f"crossing t0={c.t0:.17g} lam3={c.lam3:.17g} "
-                        f"fit_nfev={c.fit_nfev} fit_residual={c.fit_residual:.3e}")
+                        f"fit_nfev={c.fit_nfev} fit_residual={c.fit_residual:.3e}, approach chart mu")
 
 
 def test_integrate_formats_no_debug_line_below_debug(caplog, monkeypatch):
