@@ -1,18 +1,21 @@
-"""Independent numerical integration of P-III' with root crossing.
+"""Independent numerical integration of P-III' through its roots.
 
-The scalar right-hand side is 0/0-indeterminate at roots of lam, so blind
-stepping across them is not trusted.  Instead, when |lam| falls below a
-switching threshold of 1e-4 |t| the integrator stops, fits the local root
-expansion (root location, slope switch, cubic coefficient) to the numerical
-data, steps across the root analytically with that series, and resumes on
-the far side.  The stop is one terminal event per solver run,
-s0*lam - 1e-4 |t| with s0 the sign of lam where the run starts: it falls
-through zero at the near-side switch point and stays negative past the root,
-so a step that jumps the whole switching band still fires it and the event
-search places the stop at that point.  A launch inside the band is refused,
-since the event could not see the root next to it.  The excluded zone is
-evaluated from the fitted series, so the composite solution is smooth
-through every root and every root comes with a crossing record.
+The scalar right-hand side is 0/0-indeterminate at roots of lam, so lam
+itself is never stepped into a root.  The stretch around each root is
+stepped in the Hamiltonian chart (lam, mu), on the polynomial vector field
+of the sign switch sg that matches the slope at the root, where mu is
+regular and the root is an ordinary point of the run.  A lam-chart run hands
+over when s0*lam falls to 0.1|t| (s0 the sign of lam where the run starts),
+with sg = sign(lam') there; a lam-chart start inside |lam| < 0.1|t| starts
+in (lam, mu) the same way.  A mu-chart run stops where s0*lam falls through
+zero, so the event search places the root t0 on the run's interpolant, and
+records the root with the cubic coefficient lam3 = lam'''(t0)/6 read off
+mu(t0), ``series.mu_at_root`` inverted.  The relaunch goes on from the same
+(lam, mu) with s0 = sg times the sweep direction.  A mu-chart run hands back
+to lam when |lam| rises to 0.2|t|, and moves to the chart of -sg, with mu
+recomputed from (lam, lam'), when sg*lam' falls through zero: lam has turned
+back toward a root of the other slope, at which this mu has a double pole.
+Its segment's interpolant maps back to (lam, lam'), lam' from the field.
 
 Poles are approached in the reciprocal chart g = t/lam, which solves P-III'
 with chi0 and chi_inf swapped and has a simple root at every pole of lam.  A
@@ -22,34 +25,22 @@ segment's interpolant maps back to (lam, lam').  Poles are not crossed: when
 |lam| reaches a cap of 1e6 (s0*g - |t|/1e6 falls through zero) the
 integration stops on that side and leaves a pole marker.
 
-The last stretch before and after each root is stepped in the Hamiltonian
-chart (lam, mu), on the polynomial vector field of the sign switch sg that
-matches the slope at the root, where mu is regular and the scalar
-right-hand side is a 0/0 cancellation.  A lam-chart run hands over when
-s0*lam falls to 0.1|t|, with sg = sign(lam') there, and the relaunch past a
-crossed root starts in (lam, mu) with that root's switch.  A mu-chart run
-stops on the same switching event as the lam chart, and hands back to lam
-when |lam| rises to 0.2|t| or when |lam' - sg| rises to 1, where lam turns
-back toward a root of the other slope, at which this mu has a double pole.
-Its segment's interpolant maps back to (lam, lam'), lam' from the field.
-
 The stepping runs on ``_rk.solve_ivp``, scipy's DOP853 (order 8, with a
 7th-order dense output formed lazily) ported to Python floats.  Each solver
 segment keeps its step count, its right-hand-side calls and why it ended;
-``integrate`` logs them, and each crossing's fit, one line each at DEBUG
-(``P3_LOG=debug``).  Roots are polished with ``_rk.brentq``, a port
-of scipy's, and the crossing fit runs on ``least_squares``, a two-unknown
-Levenberg-Marquardt solver, so the module needs no scipy at run time.
+``integrate`` logs them, and each root crossed, one line each at DEBUG
+(``P3_LOG=debug``).  A sign change between mesh nodes away from the crossed
+roots is polished with ``_rk.brentq``, a port of scipy's, so the module
+needs no scipy at run time.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import mul
-from typing import NamedTuple
 
 import numpy as np
 
@@ -57,32 +48,22 @@ from ._rk import EPS, DenseOutput, brentq, solve_ivp
 from .equation import (
     DomainError,
     EquationParams,
-    RootAnchor,
     SignSwitch,
     hamilton_field,
     mu_from_lambda,
     rhs_scalar,
     third_derivative,
 )
-from .series import DtSeries, assemble_lambda, series_eval, series_eval_derivative, taylor_at_root
+from .series import DtSeries, series_eval
 
-_EPS_SWITCH_REL = 1e-4  # |lam| < this * |t| triggers the crossing protocol
-# resume distance past the root: data at |dt| = eps cannot carry the cubic
-# coefficient (sensitivity ~ err/(3*dt^2) would scramble it), so the far-side
-# relaunch happens where the fitted series is still machine-accurate but the
-# cubic term is numerically alive
-_EPS_RESUME_REL = 1e-2
 _POLE_CAP = 1e6  # |lam| at which a sweep stops and leaves a pole marker
 _CHART_SWITCH = 4.0  # a run leaves its chart when the chart's variable squared exceeds this * |t|
-# the last stretch before and after a root is stepped in (lam, mu): a run
-# enters that chart when |lam| falls to _MU_ENTER |t| and leaves it when
-# |lam| rises to _MU_LEAVE |t|, or when |lam' - sg| rises to _MU_BLOWUP:
-# mu = (... + (lam' - sg) t)/(2 lam^2) has a double pole at a root where
-# lam' = -sg, which is where lam heads once it turns back (lam' = 0)
+# the stretch around a root is stepped in (lam, mu): a run enters that chart
+# when |lam| falls to _MU_ENTER |t| and leaves it when |lam| rises to
+# _MU_LEAVE |t|
 _MU_ENTER = 0.1
 _MU_LEAVE = 0.2
-_MU_BLOWUP = 1.0
-_FIT_ORDER = 5  # cubic-factor validity used by the crossing fit
+# least_squares is not called here; it stays, with FitResult, _dot and these, because bench/tracer.py wraps it by name
 _SQRT_EPS = math.sqrt(EPS)  # relative forward-difference step of the fit's Jacobian
 _FIT_XTOL = 1e-15  # relative size, in Jacobian-scaled units, of the step that ends the fit
 _FIT_MAX_NFEV = 200  # residual calls before the fit gives up
@@ -108,26 +89,13 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class RootInfo:
-    """A detected root: location, slope switch, and (once extracted) the
-    cubic coefficient lam'''(t0)/6 identifying the local solution family."""
+    """A root of lam: location, slope switch, and (for a root ``integrate``
+    crossed) the cubic coefficient lam'''(t0)/6 identifying the local
+    solution family."""
 
     t0: float
     sgn: int
     lam3: float | None = None
-
-
-@dataclass(frozen=True)
-class CrossingRecord:
-    """Local series model used to step across one root."""
-
-    t0: float
-    sgn: int
-    lam3: float
-    zone: tuple  # (lo, hi) excluded from numerical data
-    series: DtSeries  # assembled lam expansion anchored at t0
-    fit_nfev: int  # residual calls of the crossing fit, Jacobians included
-    fit_residual: float  # 2-norm of the fit's residuals at (t0, lam3)
-    chart: str  # the chart of the run that stopped before the root: "mu", or "lam" if it started inside |lam| < 0.1|t|
 
 
 @dataclass(frozen=True)
@@ -139,8 +107,8 @@ class Segment:
     sol: DenseOutput | _LamFrom  # sol(t) -> [lam, lam'] over the run, in any chart
     steps: int  # accepted steps
     rhs_calls: int  # right-hand-side calls during integrate: rejected steps and dense-output stages included
-    # "span_end", "near_root" (stopped at the switching threshold), "pole_cap"
-    # (|lam| reached the cap) or "chart_switch" (the next run steps another chart)
+    # "span_end", "root" (lam fell through zero), "pole_cap" (|lam| reached
+    # the cap) or "chart_switch" (the next run steps another chart)
     end: str
     # the variable the run stepped: "lam", "g" = t/lam, or "mu" = (lam, mu)
     # on the Hamilton field of the slope-matching switch
@@ -148,11 +116,11 @@ class Segment:
 
 
 # per chart, for the index of the terminal event that fired: why the segment
-# ended and the chart of the next run (past a crossed root, the relaunch)
+# ended and the chart of the next run
 _EVENT_ENDS = {
-    "lam": (("near_root", "mu"), ("chart_switch", "g"), ("chart_switch", "mu")),
+    "lam": (("chart_switch", "g"), ("chart_switch", "mu")),
     "g": (("pole_cap", None), ("chart_switch", "lam")),
-    "mu": (("near_root", "mu"), ("chart_switch", "lam"), ("chart_switch", "lam")),
+    "mu": (("root", "mu"), ("chart_switch", "lam"), ("chart_switch", "mu")),
 }
 
 
@@ -182,14 +150,14 @@ def _band_event(s0, level, direction):
     return event
 
 
-def _slope_event(to_lam, sg):
-    """Terminal event |lam' - sg| - _MU_BLOWUP rising through zero, with
-    lam' from the mu chart's ``to_lam``."""
+def _turn_event(to_lam, sg):
+    """Terminal event sg*lam' falling through zero, with lam' from the mu
+    chart's ``to_lam``: lam turns back toward a root of slope -sg."""
 
     def event(t, y):
-        return abs(to_lam(t, y)[1] - sg) - _MU_BLOWUP
+        return sg * to_lam(t, y)[1]
 
-    event.direction = 1
+    event.direction = -1
     return event
 
 
@@ -212,34 +180,24 @@ class _LamFrom:
         return self.to_lam(t, self.sol(t))
 
 
-class _Index(NamedTuple):
-    """``DenseSolution``'s lookup table, for the lists' lengths in ``key``."""
-
-    key: tuple  # (len(segments), len(crossings))
-    edges: list  # sorted distinct edges of zones and segments
-    at: list  # at[i]: the piece holding t == edges[i], or None
-    between: list  # between[i]: the piece holding edges[i-1] < t < edges[i], or None
-
-
 @dataclass
 class DenseSolution:
-    """Piecewise dense P-III' solution: solver segments plus crossing zones.
+    """Piecewise dense P-III' solution: the solver segments, sorted by
+    ``lo`` and meeting only at their edges, and the roots crossed there.
 
-    A lookup at t is answered by the first crossing whose zone holds t, else
-    by the first segment (by ``lo``) whose [lo, hi] holds t, else by the
-    nearest segment if t lies within 1e-9 (relative) of its edge; otherwise
-    it raises DomainError.  The first two rules are tabulated once, on the
-    first lookup, over the sorted zone and segment edges, so a lookup
-    bisects; the table is rebuilt if segments or crossings are added.
+    A lookup at t is answered by the first segment (by ``lo``) whose
+    [lo, hi] holds t, else by the nearest segment if t lies within 1e-9
+    (relative) of its edge; otherwise it raises DomainError.  The segments'
+    ``hi`` are sorted like their ``lo``, so the first rule bisects them.
     """
 
     params: EquationParams
     rel_tol: float
     abs_tol: float
     segments: list = field(default_factory=list)  # Segment records
-    crossings: list = field(default_factory=list)
+    crossings: list = field(default_factory=list)  # RootInfo with lam3 of each root crossed
     pole_markers: list = field(default_factory=list)  # (t, side) where |lam| hit the cap
-    _index: _Index | None = field(default=None, init=False, repr=False, compare=False)
+    _his: list = field(default_factory=list, init=False, repr=False, compare=False)  # the segments' hi, bisected
 
     @property
     def t_min(self) -> float:
@@ -249,25 +207,14 @@ class DenseSolution:
     def t_max(self) -> float:
         return max(seg.hi for seg in self.segments)
 
-    def _indexed(self) -> _Index:
-        key = (len(self.segments), len(self.crossings))
-        if self._index is None or self._index.key != key:
-            spans = [(*c.zone, c) for c in self.crossings] + [(seg.lo, seg.hi, seg.sol) for seg in self.segments]
-            edges = sorted({e for lo, hi, _ in spans for e in (lo, hi)})
-            at = [next((obj for lo, hi, obj in spans if lo <= e <= hi), None) for e in edges]
-            bounds = [-math.inf, *edges, math.inf]
-            between = [
-                next((obj for lo, hi, obj in spans if lo <= a and b <= hi), None)
-                for a, b in zip(bounds, bounds[1:])
-            ]
-            self._index = _Index(key, edges, at, between)
-        return self._index
-
     def _lookup(self, t: float):
-        """The crossing record or segment interpolant that holds t, or None."""
-        _, edges, at, between = self._indexed()
-        i = bisect_left(edges, t)
-        return at[i] if i < len(edges) and edges[i] == t else between[i]
+        """The interpolant of the first segment that holds t, or None."""
+        if len(self._his) != len(self.segments):
+            self._his = [seg.hi for seg in self.segments]
+        i = bisect_left(self._his, t)
+        if i < len(self._his) and self.segments[i].lo <= t:
+            return self.segments[i].sol
+        return None
 
     def covers(self, t: float) -> bool:
         return self._lookup(t) is not None
@@ -287,14 +234,7 @@ class DenseSolution:
 
     def state(self, t: float) -> tuple[float, float]:
         """(lam, lam') at t."""
-        obj = self._locate(t)
-        if isinstance(obj, CrossingRecord):
-            dt = t - obj.t0
-            return (
-                series_eval(obj.series, dt),
-                series_eval_derivative(obj.series, dt),
-            )
-        lam, lamdot = obj(t)
+        lam, lamdot = self._locate(t)(t)
         return float(lam), float(lamdot)
 
     def lam(self, t: float) -> float:
@@ -374,52 +314,6 @@ def least_squares(fun, x0):
     return FitResult(x, r, False, "The maximum number of function evaluations is exceeded.", nfev)
 
 
-def _crossing_from_stop(p, inner, t_s, t_start, direction, chart) -> CrossingRecord:
-    """Cross the root ahead of the near-side stop point t_s of a run in
-    ``chart`` that started at t_start and sweeps in ``direction`` (+1 or -1).
-
-    Fits (t0, lam3) of the local root expansion to (t, lam, lam') at t_s and
-    at a window point further back in the run, so that the cubic coefficient
-    is conditioned on O(0.05*t0) data, not O(eps).  The record's zone runs
-    from t_s to the relaunch point _EPS_RESUME_REL*|t0| past the root.
-    """
-    lam_s, lamdot_s = inner(t_s)
-    sgn = 1 if lamdot_s > 0 else -1
-    t0_guess = t_s - lam_s / lamdot_s
-    lam3_guess = 0.0
-    pts = [(t_s, lam_s, lamdot_s)]
-    t_w = t0_guess - direction * 0.05 * abs(t0_guess)
-    t_w = min(max(t_w, min(t_start, t_s)), max(t_start, t_s))
-    if abs(t_w - t_s) > 10 * _EPS_SWITCH_REL * abs(t0_guess):
-        pts.append((t_w, *inner(t_w)))
-        try:
-            lam3_guess = third_derivative(*pts[1], p) / 6
-        except DomainError:
-            pass
-
-    def residuals(x):
-        t0, L = x
-        if t0 == 0:
-            return [1e6] * (2 * len(pts))
-        a = RootAnchor(t0, SignSwitch(sgn), L)
-        lam = assemble_lambda(a, taylor_at_root(a, p, _FIT_ORDER), p)
-        out = []
-        for t, lv, ld in pts:
-            out.append(series_eval(lam, t - t0) - lv)
-            out.append(series_eval_derivative(lam, t - t0) - ld)
-        return out
-
-    fit = least_squares(residuals, [t0_guess, lam3_guess])
-    if not fit.success:
-        raise IntegrationError(f"crossing fit near t={t_s} did not converge: {fit.message}")
-    t0, lam3 = fit.x
-    a = RootAnchor(t0, SignSwitch(sgn), lam3)
-    series = assemble_lambda(a, taylor_at_root(a, p, _FIT_ORDER), p)
-    t_r = t0 + direction * _EPS_RESUME_REL * abs(t0)
-    zone = (min(t_s, t_r), max(t_s, t_r))
-    return CrossingRecord(t0, sgn, lam3, zone, series, fit.nfev, math.hypot(*fit.fun), chart)
-
-
 def integrate(
     p: EquationParams,
     t_init: float,
@@ -430,16 +324,16 @@ def integrate(
     abs_tol: float = 1e-12,
 ) -> DenseSolution:
     """Adaptive DOP853 (order 8) integration of P-III' over ``span`` from
-    Cauchy data at ``t_init``, with dense output, series-based root crossing
-    approached in the chart (lam, mu) and a pole cap approached in the chart
-    g = t/lam; integrates in both directions from t_init."""
+    Cauchy data at ``t_init``, with dense output, roots stepped through in
+    the chart (lam, mu) and a pole cap approached in the chart g = t/lam;
+    integrates in both directions from t_init."""
     lo, hi = min(span), max(span)
     if not (lo <= t_init <= hi):
         raise DomainError("t_init must lie inside span")
     if lo <= 0.0 <= hi:
         raise DomainError("span must not contain t = 0")
-    if abs(lam0) <= _EPS_SWITCH_REL * abs(t_init):
-        raise DomainError("initial lambda must lie outside the switching band |lam| <= 1e-4 |t|")
+    if lam0 == 0:
+        raise DomainError("initial lambda must be nonzero: the equation is indeterminate at a root")
     if not abs(lam0) < _POLE_CAP:
         raise DomainError("initial lambda must lie below the pole cap |lam| < 1e6")
 
@@ -461,31 +355,36 @@ def integrate(
     ev_leave.direction = 1
 
     def sweep(t_start, y_start, t_end):
-        # y_lam: (lam, lam') where the next run starts; sg: its switch in the mu chart
-        t_cur, y_lam, chart, sg = t_start, list(y_start), "lam", None
+        # the next run starts at t_cur in ``chart``, from y_lam = (lam, lam')
+        # or, past a crossed root, from y_mu = (lam, mu) with s0 given; sg is
+        # its switch in the mu chart
+        t_cur, y_lam, y_mu, chart, sg = t_start, list(y_start), None, "lam", None
         direction = 1.0 if t_end > t_start else -1.0
         while (t_end - t_cur) * direction > 0:
-            if chart == "lam" and y_lam[0] * y_lam[0] > _CHART_SWITCH * abs(t_cur):
-                chart = "g"  # a launch, or any hand-back to lam, beyond the threshold steps g
+            if chart == "lam":
+                if y_lam[0] * y_lam[0] > _CHART_SWITCH * abs(t_cur):
+                    chart = "g"  # a launch, or any hand-back to lam, beyond the threshold steps g
+                elif abs(y_lam[0]) < _MU_ENTER * abs(t_cur):
+                    chart, sg = "mu", 1 if y_lam[1] > 0 else -1  # one inside the band steps mu
             if chart == "lam":
                 fun, y_cur, view = rhs["lam"], y_lam, None
             elif chart == "g":
                 fun, y_cur, view = rhs["g"], _reciprocal(t_cur, y_lam), _reciprocal
             else:
                 fun, view = fields[sg], _lam_on(fields[sg])
-                y_cur = [y_lam[0], mu_from_lambda(t_cur, *y_lam, SignSwitch(sg), p)]
-            s0 = math.copysign(1.0, y_cur[0])
-            # each chart's first event falls through zero at the near-side
-            # threshold (lam, mu: the switching band of a root; g: the pole
-            # cap) and stays negative past the zero of y[0], so a step that
-            # jumps the whole band still fires it and the event search finds
-            # that point
+                y_cur = y_mu or [y_lam[0], mu_from_lambda(t_cur, *y_lam, SignSwitch(sg), p)]
+            # past a root lam starts at zero and takes the sign sg*direction
+            s0 = sg * direction if y_mu else math.copysign(1.0, y_cur[0])
+            # each chart's band event falls through zero at its threshold
+            # (lam: the mu chart's entry; mu: the root; g: the pole cap) and
+            # stays negative past it, so a step that jumps the threshold
+            # still fires it and the event search finds that point
             if chart == "lam":
-                events = [_band_event(s0, _EPS_SWITCH_REL, -1), ev_leave, _band_event(s0, _MU_ENTER, -1)]
+                events = [ev_leave, _band_event(s0, _MU_ENTER, -1)]
             elif chart == "g":
                 events = [_band_event(s0, 1 / _POLE_CAP, -1), ev_leave]
             else:
-                events = [_band_event(s0, _EPS_SWITCH_REL, -1), _band_event(s0, _MU_LEAVE, 1), _slope_event(view, sg)]
+                events = [_band_event(s0, 0.0, -1), _band_event(s0, _MU_LEAVE, 1), _turn_event(view, sg)]
             res = solve_ivp(fun, (t_cur, t_end), y_cur, rtol=rel_tol, atol=abs_tol, events=events)
             if res.status == -1:
                 raise IntegrationError(f"integration failed near t={res.t[-1]}: {res.message}")
@@ -495,10 +394,6 @@ def integrate(
             else:
                 k = next(i for i, te in enumerate(res.t_events) if te)
                 (end, nxt), t_s = _EVENT_ENDS[chart][k], float(res.t_events[k][0])
-            if end == "near_root":
-                crossing = _crossing_from_stop(p, seg, t_s, t_cur, direction, chart)
-            # appended after the crossing fit has read the dense output, so
-            # that seg.nfev counts every interpolant stage formed for it
             sol.segments.append(
                 Segment(min(t_cur, t_s), max(t_cur, t_s), seg, len(res.t) - 1, res.nfev + seg.nfev, end, chart)
             )
@@ -507,19 +402,16 @@ def integrate(
             if end == "pole_cap":
                 sol.pole_markers.append((t_s, "right" if direction > 0 else "left"))
                 return
-            if end == "chart_switch":
-                t_cur, y_lam, chart = t_s, seg.ys[-1], nxt
-                if chart == "mu":
-                    sg = 1 if y_lam[1] > 0 else -1  # the switch that matches the slope at the root ahead
-                continue
-
-            sol.crossings.append(crossing)
-            t_r = crossing.zone[1] if direction > 0 else crossing.zone[0]  # the relaunch point
-            if (t_end - t_r) * direction <= 0:
-                return
-            dt_r = t_r - crossing.t0
-            t_cur, chart, sg = t_r, nxt, crossing.sgn
-            y_lam = [series_eval(crossing.series, dt_r), series_eval_derivative(crossing.series, dt_r)]
+            t_cur, y_lam, y_mu = t_s, seg.ys[-1], None
+            if end == "root":
+                y_mu = res.sol.ys[-1]  # (lam, mu) at the root: mu is regular there
+                lam3 = (2 * y_mu[1] - 1 - sg * (1 - p.chi0 * p.chi0) / (2 * t_s)) / (3 * t_s)
+                sol.crossings.append(RootInfo(t_s, sg, lam3))
+            elif chart == "mu" and nxt == "mu":
+                sg = -sg  # lam turned back toward a root of the other slope
+            elif nxt == "mu":
+                sg = 1 if y_lam[1] > 0 else -1  # the switch that matches the slope at the root ahead
+            chart = nxt
 
     if hi > t_init:
         sweep(t_init, (lam0, lamdot0), hi)
@@ -535,10 +427,7 @@ def integrate(
                 seg.lo, seg.hi, seg.chart, seg.steps, seg.rhs_calls, seg.end,
             )
         for c in sol.crossings:
-            log.debug(
-                "crossing t0=%.17g lam3=%.17g fit_nfev=%d fit_residual=%.3e, approach chart %s",
-                c.t0, c.lam3, c.fit_nfev, c.fit_residual, c.chart,
-            )
+            log.debug("crossing t0=%.17g lam3=%.17g", c.t0, c.lam3)
     return sol
 
 
@@ -553,8 +442,8 @@ def integrate_hamiltonian(
     abs_tol: float = 1e-12,
 ):
     """Plain dense integration of the coupled Hamilton system (lam, mu) for
-    one fixed sign switch; no root crossing (mu is regular at matching-sign
-    roots), on the same ``hamilton_field`` as the mu chart of ``integrate``.
+    one fixed sign switch, with no chart changes (mu is regular at
+    matching-sign roots), on the same ``hamilton_field`` as the mu chart of ``integrate``.
     Returns the kernel's result: ``.sol(t)`` gives (lam, mu) and
     ``.t`` the accepted steps.  Raises IntegrationError naming t if the step
     size underflows before the span end."""
@@ -565,10 +454,10 @@ def integrate_hamiltonian(
 
 
 def root_slope(sol: DenseSolution, t0: float) -> float:
-    """lam'(t0) measured from the numerical data just outside the excluded
-    zone (Richardson-extrapolated central average), not from the fitted
-    series; used to validate unit slope at roots."""
-    d = 4 * _EPS_RESUME_REL * abs(t0)
+    """lam'(t0) measured from the numerical data 4 % and 2 % of |t0| to
+    either side (Richardson-extrapolated central average), not from the
+    root's crossing record; used to validate unit slope at roots."""
+    d = 0.04 * abs(t0)
     s1 = 0.5 * (sol.lam_dot(t0 + d) + sol.lam_dot(t0 - d))
     s2 = 0.5 * (sol.lam_dot(t0 + d / 2) + sol.lam_dot(t0 - d / 2))
     return (4 * s2 - s1) / 3
@@ -576,33 +465,28 @@ def root_slope(sol: DenseSolution, t0: float) -> float:
 
 def _node_lams(sol: DenseSolution) -> tuple[list, list]:
     """The sorted distinct mesh nodes and lam at each, without interpolating:
-    the crossing series where a zone holds the node, as ``state`` reads it,
-    else the accepted state the first segment (by ``lo``) with that node
-    kept, which differs from ``state``'s interpolant only in rounding."""
+    the accepted state the first segment (by ``lo``) with that node kept,
+    which differs from ``state``'s interpolant only in rounding."""
     lam_at = {}
     for seg in sol.segments:
         for t, y in zip(seg.sol.ts, seg.sol.ys):
             lam_at.setdefault(t, y[0])
     ts = sorted(lam_at)
-    vals = [lam_at[t] for t in ts]
-    for c in reversed(sol.crossings):  # so the first zone holding a node sets its value
-        for i in range(bisect_left(ts, c.zone[0]), bisect_right(ts, c.zone[1])):
-            vals[i] = series_eval(c.series, ts[i] - c.t0)
-    return ts, vals
+    return ts, [lam_at[t] for t in ts]
 
 
 def find_roots(sol: DenseSolution) -> list[RootInfo]:
-    """All roots of lam in the computed span, from the crossing records plus
-    a sign-change scan of lam at the mesh nodes (``_node_lams``), each
-    change polished with ``brentq`` on ``lam``; the scan is a safety net
-    and is normally empty."""
+    """All roots of lam in the computed span: the roots ``integrate``
+    crossed, plus a sign-change scan of lam at the mesh nodes
+    (``_node_lams``) between which no crossed root lies, each change
+    polished with ``brentq`` on ``lam``; the scan is a safety net and is
+    normally empty."""
     roots = [RootInfo(c.t0, c.sgn) for c in sol.crossings]
+    crossed = {c.t0 for c in sol.crossings}  # mesh nodes, where lam reads zero up to rounding
     ts, vals = _node_lams(sol)
     for i in range(len(ts) - 1):
-        if vals[i] == 0.0 or vals[i] * vals[i + 1] >= 0:
-            continue
         lo, hi = ts[i], ts[i + 1]
-        if any(c.zone[0] <= 0.5 * (lo + hi) <= c.zone[1] for c in sol.crossings):
+        if vals[i] == 0.0 or vals[i] * vals[i + 1] >= 0 or lo in crossed or hi in crossed:
             continue
         r = brentq(sol.lam, lo, hi, xtol=1e-14 * max(1.0, abs(hi)))
         if all(abs(r - q.t0) > 1e-8 * max(1.0, abs(r)) for q in roots):

@@ -214,7 +214,7 @@ def test_computation_failure_exit_1(tmp_path, capsys):
     base = str(tmp_path / "fail")
     args = ["integrate", "--chi0", "-0.811597", "--chiinf", "-0.0550042", "--span", "0.6:1.3", "--out", base]
     assert run([*args, "--cauchy", "0.8:0:1"]) == 1  # launch on a root
-    assert "switching band" in capsys.readouterr().err
+    assert "must be nonzero" in capsys.readouterr().err
     assert not os.path.exists(base + ".csv")
 
 
@@ -240,7 +240,7 @@ def test_roots_csv_format(tmp_path):
 
 
 def test_cli_import_loads_no_scipy():
-    # the RK kernel, brentq and the crossing fit are pure Python
+    # the RK kernel and brentq are pure Python
     src = str(Path(p3prime.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
