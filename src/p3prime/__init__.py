@@ -17,8 +17,6 @@ from .equation import (
     mu_from_lambda,
     rhs_scalar,
     third_derivative,
-    w_lambda,
-    w_mu,
 )
 from .series import (
     AnchorMismatchError,
@@ -31,7 +29,6 @@ from .series import (
     run_scheme,
     series_eval,
     step_lambda,
-    step_lambda_refined,
     step_mu,
     taylor_at_root,
 )

@@ -277,10 +277,11 @@ def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
     gradients of the Hamiltonian to 1e-7 at 100 random points.
 
     The reference solution is not scalar over the whole window: it steps the
-    last stretch before each root in the (lam, mu) chart, so on the worked
-    example [1.2525, 1.3] of [0.6, 1.3] is itself a Hamiltonian run (sg = -1,
-    launched from lam-chart data at |lam| = 0.1 t).  Only on [0.6, 1.2525]
-    are the two formulations independent."""
+    stretch around each root in the (lam, mu) chart, so on the worked
+    example [0.6, 0.7157] and [0.9865, 1.3] of [0.6, 1.3] are themselves
+    Hamiltonian runs (sg = +1 and -1, entered from lam-chart data at
+    |lam| = 0.3 t).  Only on [0.7157, 0.9865] are the two formulations
+    independent."""
 
     def body():
         sol = reference_solution()

@@ -9,9 +9,7 @@ same dynamics also arises from a pair of Hamiltonians distinguished by a
 binary sign switch; the conjugate momentum mu is regular at a root of lam
 exactly when the switch matches the slope there.  This module holds the
 pointwise forms: the scalar right-hand side, the frozen third-derivative
-formula, the Hamiltonian and its vector field, the momentum elimination, and
-the coupled first-order system satisfied by the cubic-coefficient function
-near a root.
+formula, the Hamiltonian and its vector field, and the momentum elimination.
 """
 
 from __future__ import annotations
@@ -202,37 +200,6 @@ def mu_from_lambda(t: float, lam: float, lam_dot: float, s: SignSwitch, p: Equat
         raise DomainError("lambda = 0 makes the momentum formula indeterminate")
     sg = s.sgn
     return ((sg * p.chi0 - 1) * lam + lam**2 + (lam_dot - sg) * t) / (2 * lam**2)
-
-
-def w_lambda(dt: float, t: float, uplam: float, mu: float, a: RootAnchor, p: EquationParams) -> float:
-    """Right-hand side of t * d(uplam)/dt for the cubic-coefficient function.
-
-    ``uplam`` and ``mu`` are the scalar values of the two unknown functions
-    at the evaluation point t = t0 + dt.  The dt**-1 term is explicit, hence
-    dt = 0 is excluded; on solutions its numerator vanishes at the root.
-    No other module calls it: ``test_w_functions_reproduce_series_derivatives``
-    uses it as the oracle that the series solve the coupled system.
-    """
-    if dt == 0:
-        raise DomainError("dt = 0: the explicit 1/dt term is undefined")
-    sg, t0, chi0 = a.s, a.t0, p.chi0
-    lead = (sg * (chi0**2 - 1) / (2 * t0) - 1 + 2 * mu - 3 * t0 * uplam) / dt
-    mid = (1 - sg * chi0) * (2 * mu - 1) / t0 - (2 + sg * chi0) * uplam
-    tail = dt * (2 * mu - 1) * (2 * sg * uplam + ((sg - chi0) / (2 * t0) + dt * uplam) ** 2)
-    return lead + mid + tail
-
-
-def w_mu(dt: float, t: float, uplam: float, mu: float, a: RootAnchor, p: EquationParams) -> float:
-    """Right-hand side of t * d(mu)/dt for the conjugate momentum.
-
-    Like ``w_lambda``, the oracle of ``test_w_functions_reproduce_series_derivatives``.
-    """
-    sg, t0 = a.s, a.t0
-    return (
-        -0.5 * (p.chi_inf + sg * p.chi0 - 1)
-        - (1 - sg * p.chi0) * mu
-        - 2 * dt * (mu - 1) * mu * (sg + dt * (sg - p.chi0) / (2 * t0) + dt**2 * uplam)
-    )
 
 
 def convert_p3_to_p3prime(q: P3FormParams) -> tuple[EquationParams, VariableMap]:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 
-from .equation import EquationParams, RootAnchor, SignSwitch
+from .equation import EquationParams
 from .poles import LaurentExpansion
 from .series import DtSeries
 
@@ -31,13 +31,6 @@ def series_to_json(s: DtSeries, p: EquationParams) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def series_from_json(text: str) -> tuple[DtSeries, EquationParams]:
-    obj = json.loads(text)
-    a = RootAnchor(obj["t0"], SignSwitch(int(obj["sgn"])), obj["lam3"])
-    p = EquationParams(obj["chi0"], obj["chi_inf"])
-    return DtSeries(a, obj["coeffs"], int(obj["valid_order"])), p
-
-
 def laurent_to_json(le: LaurentExpansion, p: EquationParams, sgn: int, lam3_swapped: float) -> str:
     obj = {
         "t0": float(le.t0),
@@ -50,13 +43,6 @@ def laurent_to_json(le: LaurentExpansion, p: EquationParams, sgn: int, lam3_swap
         "regular_coeffs": [float(c) for c in le.trusted()],
     }
     return json.dumps(obj, indent=2) + "\n"
-
-
-def laurent_from_json(text: str):
-    obj = json.loads(text)
-    le = LaurentExpansion(obj["t0"], obj["residue"], obj["regular_coeffs"], int(obj["valid_order"]))
-    p = EquationParams(obj["chi0"], obj["chi_inf"])
-    return le, p, int(obj["sgn"]), float(obj["lam3_swapped"])
 
 
 def write_csv(path, header: list[str], rows) -> None:

@@ -1,28 +1,33 @@
 """Independent numerical integration of P-III' through its roots.
 
-The scalar right-hand side is 0/0-indeterminate at roots of lam, so lam
-itself is never stepped into a root.  The stretch around each root is
-stepped in the Hamiltonian chart (lam, mu), on the polynomial vector field
-of the sign switch sg that matches the slope at the root, where mu is
-regular and the root is an ordinary point of the run.  A lam-chart run hands
-over when s0*lam falls to 0.1|t| (s0 the sign of lam where the run starts),
-with sg = sign(lam') there; a lam-chart start inside |lam| < 0.1|t| starts
-in (lam, mu) the same way.  A mu-chart run stops where s0*lam falls through
-zero, so the event search places the root t0 on the run's interpolant, and
-records the root with the cubic coefficient lam3 = lam'''(t0)/6 read off
-mu(t0), ``series.mu_at_root`` inverted.  The relaunch goes on from the same
-(lam, mu) with s0 = sg times the sweep direction.  A mu-chart run hands back
-to lam when |lam| rises to 0.2|t|, and moves to the chart of -sg, with mu
-recomputed from (lam, lam'), when sg*lam' falls through zero: lam has turned
-back toward a root of the other slope, at which this mu has a double pole.
-Its segment's interpolant maps back to (lam, lam'), lam' from the field.
+The sweep is symmetric in two variables, lam and g = t/lam.  g solves P-III'
+with chi0 and chi_inf swapped and has a simple root at every pole of lam, as
+lam has at every root.  Each variable is stepped in one of two charts: a
+scalar chart ("lam", "g") on the second-order equation, or a Hamiltonian
+chart ("mu", "nu") on the polynomial vector field of the sign switch sg that
+matches the variable's slope at its next root, where the momentum is regular
+and the root an ordinary point of the run.  The scalar right-hand side is
+0/0-indeterminate at a root of its variable, so no scalar chart is stepped
+into one.
 
-Poles are approached in the reciprocal chart g = t/lam, which solves P-III'
-with chi0 and chi_inf swapped and has a simple root at every pole of lam.  A
-run switches to g when lam^2 > 4|t| and back to lam when g^2 > 4|t| (a
-factor-16 hysteresis); each solver run stays in one chart, and a g-chart
-segment's interpolant maps back to (lam, lam').  Poles are not crossed: when
-|lam| reaches a cap of 1e6 (s0*g - |t|/1e6 falls through zero) the
+A scalar-chart run hands over to its variable's Hamiltonian chart when s0*v
+falls to 0.3|t| (v the variable, s0 its sign where the run starts), with
+sg = sign(v') there and the momentum from ``mu_from_lambda`` (on the swapped
+parameters for g); a scalar-chart start inside |v| < 0.3|t| starts there the
+same way.  A Hamiltonian run hands back when |v| rises to 0.6|t|, and moves
+to the chart of -sg, its momentum recomputed from (v, v'), when sg*v' falls
+through zero: v has turned back toward a root of the other slope, at which
+this momentum has a double pole.  A scalar run switches to the other
+variable when the square of its own exceeds 4|t| (lam^2 > 4|t|, or
+g^2 > 4|t|, that is lam^2 < |t|/4: a factor-16 hysteresis).  Each solver run stays in
+one chart, and its segment's interpolant maps back to (lam, lam').
+
+A mu-chart run stops where s0*lam falls through zero, so the event search
+places the root t0 on the run's interpolant, and records the root with the
+cubic coefficient lam3 = lam'''(t0)/6 read off mu(t0), ``series.mu_at_root``
+inverted.  The relaunch goes on from the same (lam, mu) with s0 = sg times
+the sweep direction.  Poles are not crossed: a nu-chart run stops where
+|lam| reaches a cap of 1e6 (s0*g - |t|/1e6 falls through zero), and the
 integration stops on that side and leaves a pole marker.
 
 The stepping runs on ``_rk.solve_ivp``, scipy's DOP853 (order 8, with a
@@ -57,12 +62,12 @@ from .equation import (
 from .series import DtSeries, series_eval
 
 _POLE_CAP = 1e6  # |lam| at which a sweep stops and leaves a pole marker
-_CHART_SWITCH = 4.0  # a run leaves its chart when the chart's variable squared exceeds this * |t|
-# the stretch around a root is stepped in (lam, mu): a run enters that chart
-# when |lam| falls to _MU_ENTER |t| and leaves it when |lam| rises to
-# _MU_LEAVE |t|
-_MU_ENTER = 0.1
-_MU_LEAVE = 0.2
+_CHART_SWITCH = 4.0  # a scalar run switches variable when its variable squared exceeds this * |t|
+# the stretch around a root of lam or of g = t/lam (a pole of lam) is stepped
+# in that variable's Hamiltonian chart: a run enters it when the variable's
+# magnitude falls to _MU_ENTER |t| and leaves it when it rises to _MU_LEAVE |t|
+_MU_ENTER = 0.3
+_MU_LEAVE = 0.6
 # least_squares is not called here; it stays, with FitResult, _dot and these, because bench/tracer.py wraps it by name
 _SQRT_EPS = math.sqrt(EPS)  # relative forward-difference step of the fit's Jacobian
 _FIT_XTOL = 1e-15  # relative size, in Jacobian-scaled units, of the step that ends the fit
@@ -110,17 +115,23 @@ class Segment:
     # "span_end", "root" (lam fell through zero), "pole_cap" (|lam| reached
     # the cap) or "chart_switch" (the next run steps another chart)
     end: str
-    # the variable the run stepped: "lam", "g" = t/lam, or "mu" = (lam, mu)
-    # on the Hamilton field of the slope-matching switch
+    # what the run stepped: "lam", "g" = t/lam, or on the Hamilton field of
+    # the slope-matching switch "mu" = (lam, mu) or "nu" = (g, nu), the
+    # latter on the swapped equation's
     chart: str = "lam"
 
 
+# the scalar charts, each variable's other scalar chart and its Hamiltonian chart
+_SCALAR = ("lam", "g")
+_OTHER = {"lam": "g", "g": "lam"}
+_HAMILTONIAN = {"lam": "mu", "g": "nu"}
 # per chart, for the index of the terminal event that fired: why the segment
 # ended and the chart of the next run
 _EVENT_ENDS = {
     "lam": (("chart_switch", "g"), ("chart_switch", "mu")),
-    "g": (("pole_cap", None), ("chart_switch", "lam")),
+    "g": (("chart_switch", "lam"), ("chart_switch", "nu")),
     "mu": (("root", "mu"), ("chart_switch", "lam"), ("chart_switch", "mu")),
+    "nu": (("pole_cap", None), ("chart_switch", "g"), ("chart_switch", "nu")),
 }
 
 
@@ -132,12 +143,24 @@ def _reciprocal(t, y):
 
 
 def _lam_on(hamilton):
-    """(lam, mu) -> (lam, lam'), with lam' from the Hamilton field."""
+    """(v, momentum) -> (v, v'), with v' from the Hamilton field: (lam, mu)
+    -> (lam, lam') in the mu chart, (g, nu) -> (g, g') in the nu chart."""
 
     def to_lam(t, y):
         return [y[0], hamilton(t, y)[0]]
 
     return to_lam
+
+
+def _view(own, reciprocal):
+    """A run's map to (lam, lam'): ``own`` to the stepped variable's (v, v')
+    (None where the run steps (v, v') itself), then for v = g the
+    reciprocal map; None where the map is the identity."""
+    if not reciprocal:
+        return own
+    if own is None:
+        return _reciprocal
+    return lambda t, y: _reciprocal(t, own(t, y))
 
 
 def _band_event(s0, level, direction):
@@ -150,19 +173,19 @@ def _band_event(s0, level, direction):
     return event
 
 
-def _turn_event(to_lam, sg):
-    """Terminal event sg*lam' falling through zero, with lam' from the mu
-    chart's ``to_lam``: lam turns back toward a root of slope -sg."""
+def _turn_event(own, sg):
+    """Terminal event sg*v' falling through zero, with (v, v') from a
+    Hamiltonian chart's ``own``: v turns back toward a root of slope -sg."""
 
     def event(t, y):
-        return sg * to_lam(t, y)[1]
+        return sg * own(t, y)[1]
 
     event.direction = -1
     return event
 
 
 class _LamFrom:
-    """A g- or mu-chart run's dense output read as (lam, lam') through
+    """A g-, mu- or nu-chart run's dense output read as (lam, lam') through
     ``to_lam(t, y)``, for calls and for the accepted states ``ys`` next to
     the mesh ``ts``."""
 
@@ -325,8 +348,8 @@ def integrate(
 ) -> DenseSolution:
     """Adaptive DOP853 (order 8) integration of P-III' over ``span`` from
     Cauchy data at ``t_init``, with dense output, roots stepped through in
-    the chart (lam, mu) and a pole cap approached in the chart g = t/lam;
-    integrates in both directions from t_init."""
+    the chart (lam, mu) and a pole cap approached in the chart (g, nu) of
+    g = t/lam; integrates in both directions from t_init."""
     lo, hi = min(span), max(span)
     if not (lo <= t_init <= hi):
         raise DomainError("t_init must lie inside span")
@@ -346,8 +369,10 @@ def integrate(
 
         return rhs
 
-    rhs = {"lam": first_order(p), "g": first_order(p.swapped())}  # g = t/lam solves the swapped equation
-    fields = {sg: hamilton_field(p, SignSwitch(sg)) for sg in (1, -1)}  # the mu chart's, per switch
+    # the parameters each chart's variable solves with: g = t/lam solves the swapped equation
+    params = {"lam": p, "mu": p, "g": p.swapped(), "nu": p.swapped()}
+    rhs = {chart: first_order(params[chart]) for chart in ("lam", "g")}
+    fields = {(chart, sg): hamilton_field(params[chart], SignSwitch(sg)) for chart in ("mu", "nu") for sg in (1, -1)}
 
     def ev_leave(t, y):
         return y[0] * y[0] - _CHART_SWITCH * abs(t)
@@ -355,36 +380,38 @@ def integrate(
     ev_leave.direction = 1
 
     def sweep(t_start, y_start, t_end):
-        # the next run starts at t_cur in ``chart``, from y_lam = (lam, lam')
-        # or, past a crossed root, from y_mu = (lam, mu) with s0 given; sg is
-        # its switch in the mu chart
-        t_cur, y_lam, y_mu, chart, sg = t_start, list(y_start), None, "lam", None
+        # the next run starts at t_cur in ``chart``, from y_v = (v, v') of
+        # the chart's variable v (lam for lam and mu, g for g and nu) or,
+        # past a crossed root, from y_ham = (lam, mu) with s0 given; sg is
+        # its switch in a Hamiltonian chart
+        t_cur, y_v, y_ham, chart, sg = t_start, list(y_start), None, "lam", None
         direction = 1.0 if t_end > t_start else -1.0
         while (t_end - t_cur) * direction > 0:
-            if chart == "lam":
-                if y_lam[0] * y_lam[0] > _CHART_SWITCH * abs(t_cur):
-                    chart = "g"  # a launch, or any hand-back to lam, beyond the threshold steps g
-                elif abs(y_lam[0]) < _MU_ENTER * abs(t_cur):
-                    chart, sg = "mu", 1 if y_lam[1] > 0 else -1  # one inside the band steps mu
-            if chart == "lam":
-                fun, y_cur, view = rhs["lam"], y_lam, None
-            elif chart == "g":
-                fun, y_cur, view = rhs["g"], _reciprocal(t_cur, y_lam), _reciprocal
+            if chart in _SCALAR:
+                if y_v[0] * y_v[0] > _CHART_SWITCH * abs(t_cur):
+                    # a launch, or any hand-back, beyond the threshold steps the other variable
+                    chart, y_v = _OTHER[chart], _reciprocal(t_cur, y_v)
+                if abs(y_v[0]) < _MU_ENTER * abs(t_cur):
+                    # one inside the band steps the variable's Hamiltonian chart
+                    chart, sg = _HAMILTONIAN[chart], 1 if y_v[1] > 0 else -1
+            if chart in _SCALAR:
+                fun, y_cur, own = rhs[chart], y_v, None
             else:
-                fun, view = fields[sg], _lam_on(fields[sg])
-                y_cur = y_mu or [y_lam[0], mu_from_lambda(t_cur, *y_lam, SignSwitch(sg), p)]
+                fun = fields[chart, sg]
+                own = _lam_on(fun)
+                y_cur = y_ham or [y_v[0], mu_from_lambda(t_cur, *y_v, SignSwitch(sg), params[chart])]
+            view = _view(own, chart in ("g", "nu"))
             # past a root lam starts at zero and takes the sign sg*direction
-            s0 = sg * direction if y_mu else math.copysign(1.0, y_cur[0])
+            s0 = sg * direction if y_ham else math.copysign(1.0, y_cur[0])
             # each chart's band event falls through zero at its threshold
-            # (lam: the mu chart's entry; mu: the root; g: the pole cap) and
-            # stays negative past it, so a step that jumps the threshold
-            # still fires it and the event search finds that point
-            if chart == "lam":
+            # (lam and g: the Hamiltonian chart's entry; mu: the root; nu:
+            # the pole cap) and stays negative past it, so a step that jumps
+            # the threshold still fires it and the event search finds that point
+            if chart in _SCALAR:
                 events = [ev_leave, _band_event(s0, _MU_ENTER, -1)]
-            elif chart == "g":
-                events = [_band_event(s0, 1 / _POLE_CAP, -1), ev_leave]
             else:
-                events = [_band_event(s0, 0.0, -1), _band_event(s0, _MU_LEAVE, 1), _turn_event(view, sg)]
+                zero = 0.0 if chart == "mu" else 1 / _POLE_CAP
+                events = [_band_event(s0, zero, -1), _band_event(s0, _MU_LEAVE, 1), _turn_event(own, sg)]
             res = solve_ivp(fun, (t_cur, t_end), y_cur, rtol=rel_tol, atol=abs_tol, events=events)
             if res.status == -1:
                 raise IntegrationError(f"integration failed near t={res.t[-1]}: {res.message}")
@@ -402,15 +429,18 @@ def integrate(
             if end == "pole_cap":
                 sol.pole_markers.append((t_s, "right" if direction > 0 else "left"))
                 return
-            t_cur, y_lam, y_mu = t_s, seg.ys[-1], None
+            y_end = res.sol.ys[-1]
+            t_cur, y_v, y_ham = t_s, y_end if own is None else own(t_s, y_end), None
             if end == "root":
-                y_mu = res.sol.ys[-1]  # (lam, mu) at the root: mu is regular there
-                lam3 = (2 * y_mu[1] - 1 - sg * (1 - p.chi0 * p.chi0) / (2 * t_s)) / (3 * t_s)
+                y_ham = y_end  # (lam, mu) at the root: mu is regular there
+                lam3 = (2 * y_ham[1] - 1 - sg * (1 - p.chi0 * p.chi0) / (2 * t_s)) / (3 * t_s)
                 sol.crossings.append(RootInfo(t_s, sg, lam3))
-            elif chart == "mu" and nxt == "mu":
-                sg = -sg  # lam turned back toward a root of the other slope
-            elif nxt == "mu":
-                sg = 1 if y_lam[1] > 0 else -1  # the switch that matches the slope at the root ahead
+            elif nxt == chart:
+                sg = -sg  # the variable turned back toward a root of the other slope
+            elif nxt in _HAMILTONIAN.values():
+                sg = 1 if y_v[1] > 0 else -1  # the switch that matches the slope at the root ahead
+            elif nxt == _OTHER.get(chart):
+                y_v = _reciprocal(t_s, y_v)
             chart = nxt
 
     if hi > t_init:

@@ -149,7 +149,11 @@ def _kernel_lambda_eta(lam_t, mu_t, a: RootAnchor, p: EquationParams) -> list:
 
 
 def _kernel_xi_eta(lam_t, mu_t, a: RootAnchor, p: EquationParams) -> list:
-    """Kernel of the root-ratio function xi as an eta-polynomial."""
+    """Kernel of the root-ratio function xi as an eta-polynomial.
+
+    ``run_scheme``'s steps do not use it; it is the definition the tests
+    hold the bounds' xi increments, and their refined lam step (the oracle
+    for ``init_pair``), to."""
     sg, t0, chi0 = a.s, a.t0, p.chi0
     k0 = (chi0 - sg) / (2 * t0)
     two_mu_m1 = _poly.padd(_poly.pscale(mu_t, 2.0), [-1.0])
@@ -203,26 +207,6 @@ def step_lambda(lam_in: DtSeries, mu_in: DtSeries, a: RootAnchor, p: EquationPar
     _require_same_anchor(lam_in, mu_in)
     v = min(lam_in.valid_order + 1, mu_in.valid_order)
     out = _step_lambda_raw(lam_in.trusted(), mu_in.trusted(), a, p)
-    return DtSeries(a, _poly.ptrim(out, v), v)
-
-
-def step_lambda_refined(lam_in: DtSeries, mu_in: DtSeries, a: RootAnchor, p: EquationParams) -> DtSeries:
-    """Refined lam update whose structure pins the value at the root exactly.
-
-    ``run_scheme`` does not use it: it is the independent oracle that
-    ``test_init_pair_matches_refined_step_from_zero`` checks ``init_pair``
-    against."""
-    _require_same_anchor(lam_in, mu_in)
-    sg, t0 = a.s, a.t0
-    v = min(lam_in.valid_order + 1, mu_in.valid_order)
-    mu_k = _kernel_mu_eta(lam_in.trusted(), mu_in.trusted(), a, p)
-    xi_k = _kernel_xi_eta(lam_in.trusted(), mu_in.trusted(), a, p)
-    om = _poly.padd(_poly.pscale(_poly.psigma_avg(mu_k), 2.0), _poly.psigma_avg(xi_k, 3))
-    inner = _poly.padd(
-        _poly.padd([(p.chi_inf + sg * p.chi0 - 1) / (4 * t0)], lam_in.trusted()),
-        _poly.pscale(om, -1 / (3 * t0)),
-    )
-    out = _poly.padd([a.lam3], _poly.pshift(_poly.pscale(inner, -1 / t0), 1))
     return DtSeries(a, _poly.ptrim(out, v), v)
 
 

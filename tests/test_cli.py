@@ -12,13 +12,8 @@ import pytest
 import p3prime
 from p3prime import EquationParams, LaurentExpansion, RootAnchor, SignSwitch, acceptance
 from p3prime.cli import main
-from p3prime.io import (
-    laurent_from_json,
-    laurent_to_json,
-    series_from_json,
-    series_to_json,
-)
-from p3prime.series import run_scheme
+from p3prime.io import laurent_to_json, series_to_json
+from p3prime.series import DtSeries, run_scheme
 
 APX = [
     "--chi0", "-0.811597", "--chiinf", "-0.0550042",
@@ -120,6 +115,23 @@ def test_config_value_outside_the_choices_exit_2(tmp_path, capsys):
     assert run(args) == 2
     assert "invalid choice: 'xml'" in capsys.readouterr().err
     assert not list(tmp_path.glob("roots.*"))
+
+
+def series_from_json(text):
+    """The series and parameters of a ``series_to_json`` file."""
+    obj = json.loads(text)
+    a = RootAnchor(obj["t0"], SignSwitch(int(obj["sgn"])), obj["lam3"])
+    p = EquationParams(obj["chi0"], obj["chi_inf"])
+    return DtSeries(a, obj["coeffs"], int(obj["valid_order"])), p
+
+
+def laurent_from_json(text):
+    """The expansion, parameters, switch and swapped lam3 of a
+    ``laurent_to_json`` file."""
+    obj = json.loads(text)
+    le = LaurentExpansion(obj["t0"], obj["residue"], obj["regular_coeffs"], int(obj["valid_order"]))
+    p = EquationParams(obj["chi0"], obj["chi_inf"])
+    return le, p, int(obj["sgn"]), float(obj["lam3_swapped"])
 
 
 def test_series_json_round_trip():

@@ -21,11 +21,38 @@ from p3prime import (
     mu_from_lambda,
     rhs_scalar,
     third_derivative,
-    w_lambda,
-    w_mu,
 )
 from p3prime.equation import hamilton_field, invert_p3prime_params
 from p3prime.series import assemble_lambda, run_scheme, series_eval, series_eval_derivative
+
+
+def w_lambda(dt, t, uplam, mu, a, p):
+    """Right-hand side of t * d(uplam)/dt for the cubic-coefficient function
+    uplam near a root, coupled to the momentum mu: the oracle that the
+    series solve the coupled system.
+
+    ``uplam`` and ``mu`` are the scalar values of the two unknown functions
+    at the evaluation point t = t0 + dt.  The dt**-1 term is explicit, hence
+    dt = 0 is excluded; on solutions its numerator vanishes at the root.
+    """
+    if dt == 0:
+        raise DomainError("dt = 0: the explicit 1/dt term is undefined")
+    sg, t0, chi0 = a.s, a.t0, p.chi0
+    lead = (sg * (chi0**2 - 1) / (2 * t0) - 1 + 2 * mu - 3 * t0 * uplam) / dt
+    mid = (1 - sg * chi0) * (2 * mu - 1) / t0 - (2 + sg * chi0) * uplam
+    tail = dt * (2 * mu - 1) * (2 * sg * uplam + ((sg - chi0) / (2 * t0) + dt * uplam) ** 2)
+    return lead + mid + tail
+
+
+def w_mu(dt, t, uplam, mu, a, p):
+    """Right-hand side of t * d(mu)/dt for the conjugate momentum, the
+    other half of ``w_lambda``'s coupled system."""
+    sg, t0 = a.s, a.t0
+    return (
+        -0.5 * (p.chi_inf + sg * p.chi0 - 1)
+        - (1 - sg * p.chi0) * mu
+        - 2 * dt * (mu - 1) * mu * (sg + dt * (sg - p.chi0) / (2 * t0) + dt**2 * uplam)
+    )
 
 
 def rhs_exact(t, lam, lamdot, chi0, chinf):

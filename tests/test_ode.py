@@ -210,8 +210,8 @@ def test_hamiltonian_step_size_underflow_raises(monkeypatch):
 def test_segment_run_record(monkeypatch, seeded_pole_runs):
     p_pole, args_pole, _ = seeded_pole_runs[0]
     # the calls of both right-hand sides the runs step: the scalar one of the
-    # lam and g charts and the Hamilton field of the mu chart (the mu chart's
-    # events and its map to (lam, lam') evaluate the field too, but do not
+    # lam and g charts and the Hamilton field of the mu and nu charts (their
+    # events and their maps to (lam, lam') evaluate the field too, but do not
     # step it, so the count wraps what each run is handed)
     calls = []
     solve = ode.solve_ivp
@@ -231,25 +231,27 @@ def test_segment_run_record(monkeypatch, seeded_pole_runs):
         ends = [seg.end for seg in sol.segments]
         assert ends.count("root") == len(sol.crossings)
         assert ends.count("pole_cap") == len(sol.pole_markers)
-        # every root is stepped through in the mu chart
+        # every root is stepped through in the mu chart, every pole cap reached in nu
         assert [seg.chart for seg in sol.segments if seg.end == "root"] == ["mu"] * len(sol.crossings)
+        assert [seg.chart for seg in sol.segments if seg.end == "pole_cap"] == ["nu"] * len(sol.pole_markers)
         runs.append((sol, ends))
     (worked, ends), (pole, pole_ends) = runs
     assert len(worked.crossings) == 6 and not worked.pole_markers
     assert ends.count("span_end") == 2  # one per sweep direction
     assert {seg.chart for seg in worked.segments} == {"lam", "mu"}
-    # the left sweep switches to g = t/lam and stops at a pole there; the
-    # right one enters mu, steps through a root, and hands back to lam past it
+    # the left sweep switches to g = t/lam, then to (g, nu), and stops at a
+    # pole cap there; the right one enters mu and steps through a root to the
+    # span end
     assert [(seg.chart, seg.end) for seg in pole.segments] == [
-        ("g", "pole_cap"), ("lam", "chart_switch"),
-        ("lam", "chart_switch"), ("mu", "root"), ("mu", "chart_switch"), ("lam", "span_end"),
+        ("nu", "pole_cap"), ("g", "chart_switch"), ("lam", "chart_switch"),
+        ("lam", "chart_switch"), ("mu", "root"), ("mu", "span_end"),
     ]
     assert len(pole.crossings) == 1
 
 
 def test_crossings_match_a_tight_tolerance_run(appendix_solution):
-    # at the default tolerances the worked example's roots lie within 1.5e-9
-    # (relative) and their lam3 within 1.6e-9 (scaled by max(1, |lam3|)) of
+    # at the default tolerances the worked example's roots lie within 2.9e-10
+    # (relative) and their lam3 within 4.7e-10 (scaled by max(1, |lam3|)) of
     # a run at rtol = 1e-13.  The same run is no independent reference: the
     # order-40 series check below is
     tight = integrate(acceptance.REF_PARAMS, *acceptance.REF_CAUCHY, acceptance.REF_SPAN, rel_tol=1e-13, abs_tol=1e-15)
@@ -262,7 +264,7 @@ def test_crossings_match_a_tight_tolerance_run(appendix_solution):
 def test_crossings_match_an_independent_root_series(appendix_solution):
     # the order-40 root series at each crossing's recorded (t0, lam3), exact
     # to rounding 2-8 % of t0 from the root, against the solution there: lam
-    # and lam' agree to 1.4e-12 to 1.1e-11 per root.  An error in lam3 grows
+    # and lam' agree to 1.3e-12 to 1.1e-11 per root.  An error in lam3 grows
     # this gap like dt^2; a lam3 fitted with the order-5 series was off by
     # enough to give 2.1e-10 to 6.9e-10
     sol = appendix_solution
@@ -303,7 +305,7 @@ def test_launches_next_to_a_root_run(lam0, lamdot0):
 def test_loose_tolerance_runs_stop_at_each_root():
     # at rtol 1e-6 the mu chart's steps are long, but the root event still
     # stops a run at each of the worked example's six roots, where the run's
-    # interpolant reads lam = 0 up to rounding (at most 1.4e-16 here); the
+    # interpolant reads lam = 0 up to rounding (at most 3.9e-17 here); the
     # roots lie within 6.3e-6 of the reference values
     t_init = acceptance.REF_CAUCHY[0]
     sol = integrate(acceptance.REF_PARAMS, *acceptance.REF_CAUCHY, acceptance.REF_SPAN, rel_tol=1e-6, abs_tol=1e-8)
@@ -444,11 +446,12 @@ def _pole_capped_solution(span=(0.55, 0.75)):
 
 def test_pole_marker_on_blowup():
     # heading into a pole stops at the cap and records the side; the launch,
-    # at |lam| = 19.5, lies beyond the chart threshold, so both sweeps step g
+    # at |lam| = 19.5, lies beyond the chart threshold, and g = t/lam there
+    # inside |g| < 0.3|t|, so both sweeps step (g, nu)
     a, sol = _pole_capped_solution()
     assert len(sol.pole_markers) == 1
     assert [seg.end for seg in sol.segments] == ["span_end", "pole_cap"]  # left sweep, right sweep
-    assert [seg.chart for seg in sol.segments] == ["g", "g"]
+    assert [seg.chart for seg in sol.segments] == ["nu", "nu"]
     t_p, side = sol.pole_markers[0]
     assert side == "right"
     assert abs(t_p - a.t0) < 0.01 * a.t0
@@ -494,15 +497,20 @@ def seeded_pole_runs():
 
 
 def _pole_approach(sol, seg):
-    """(start, marker) of the sweep into ``seg``'s pole cap: the start of the
-    lam-chart run that handed over to ``seg``, or its launch if there is none."""
+    """(start, marker) of the sweep into ``seg``'s pole cap: walking back
+    across the g and nu runs that led to ``seg``, the start of the last
+    lam-chart run before them, or the launch if there is none."""
     right = (seg.hi, "right") in sol.pole_markers
     near, marker = (seg.lo, seg.hi) if right else (seg.hi, seg.lo)
-    prev = [s for s in sol.segments if s.end == "chart_switch" and (s.hi if right else s.lo) == near]
-    if not prev:
-        return near, marker
-    assert prev[0].chart == "lam"
-    return (prev[0].lo if right else prev[0].hi), marker
+    while True:
+        prev = [s for s in sol.segments if s.end == "chart_switch" and (s.hi if right else s.lo) == near]
+        if not prev:
+            return near, marker
+        (prev,) = prev
+        assert prev.chart in ("lam", "g", "nu")
+        near = prev.lo if right else prev.hi
+        if prev.chart == "lam":
+            return near, marker
 
 
 def _scipy_pole_marker(p, sol, t_a, t_end):
@@ -523,9 +531,8 @@ def _scipy_pole_marker(p, sol, t_a, t_end):
 
 
 def test_pole_markers_match_scipy_in_the_lam_chart(seeded_pole_runs):
-    # the g-chart approach against scipy stepping lam into the cap from the
-    # same state: 8.3e-13 relative on the capped launch, at most 4.6e-11 on
-    # the seeded runs
+    # the approach through g and nu against scipy stepping lam into the cap
+    # from the same state: at most 3.1e-11 relative
     _, capped = _pole_capped_solution()
     runs = [(P, capped, (0.55, 0.75))] + [(p, sol, SEEDED_SPAN) for p, _, sol in seeded_pole_runs]
     checked = 0
@@ -539,46 +546,94 @@ def test_pole_markers_match_scipy_in_the_lam_chart(seeded_pole_runs):
     assert checked == len(capped.pole_markers) + sum(len(sol.pole_markers) for *_, sol in seeded_pole_runs) >= 4
 
 
-def test_g_chart_state_matches_the_pole_expansion():
-    # through the g chart the solution stays on the Laurent series it was
-    # launched from: over t0 - 0.05 t0 .. the marker (7.0e-7 left of the
-    # pole), g = t/lam within 5.4e-13 and g' within 1.3e-10 (the dense
-    # output's derivative), where lam itself has |lam| up to 1e6
+def _pole_gaps(a, sol, t_end):
+    """Max |g - t/L| and |g' - (t/L)'| over 401 points from t0 - 0.05 t0 to
+    t_end, with g = t/lam read from ``sol`` and L = root_to_pole(a, P, 6)."""
     from p3prime.poles import root_to_pole
 
-    a, sol = _pole_capped_solution()
     le = root_to_pole(a, P, 6)
-    t_p = sol.pole_markers[0][0]
-    for t in np.linspace(a.t0 - 0.05 * a.t0, t_p, 401).tolist():
+    gap_g = gap_gdot = 0.0
+    for t in np.linspace(a.t0 - 0.05 * a.t0, t_end, 401).tolist():
         lam, lamdot = sol.state(t)
         dt = t - a.t0
         ref, ref_dot = le.eval(dt), le.eval_derivative(dt)
-        assert abs(t / lam - t / ref) <= 2e-12
-        assert abs((lam - t * lamdot) / lam**2 - (ref - t * ref_dot) / ref**2) <= 5e-10
+        gap_g = max(gap_g, abs(t / lam - t / ref))
+        gap_gdot = max(gap_gdot, abs((lam - t * lamdot) / lam**2 - (ref - t * ref_dot) / ref**2))
+    return gap_g, gap_gdot
+
+
+def test_g_chart_state_matches_the_pole_expansion():
+    # through the charts of g = t/lam (here both sweeps step (g, nu), the
+    # launch lying inside |g| < 0.3|t|) the solution stays on the Laurent
+    # series it was launched from: over t0 - 0.05 t0 .. the marker (7.0e-7
+    # left of the pole), g = t/lam within 4.9e-13 and g' within 3.2e-11 (from
+    # the Hamilton field), where lam itself has |lam| up to 1e6
+    a, sol = _pole_capped_solution()
+    assert {seg.chart for seg in sol.segments} == {"nu"}
+    gap_g, gap_gdot = _pole_gaps(a, sol, sol.pole_markers[0][0])
+    assert gap_g <= 2e-12 and gap_gdot <= 5e-10
+
+
+def test_nu_chart_takes_over_from_g_at_the_band():
+    # relaunched at t = 0.4 from the wide capped run, where |g| = 0.71 t, a
+    # sweep to the right steps g until |g| falls to 0.3|t| and hands over to
+    # (g, nu), which reaches the cap in 4 steps.  Stepping g itself from the
+    # capped launch into the cap took 16: its right-hand side cancels like
+    # (g'^2 - 1)/g there, so its steps shrink geometrically.  The marker lies
+    # within 4.3e-12 (relative) of the wide run's
+    a, wide = _pole_capped_solution((0.1, 0.75))
+    t_a = 0.4
+    lam_a, lamdot_a = wide.state(t_a)
+    assert abs(t_a / lam_a) > 0.6 * t_a
+    sol = integrate(P, t_a, lam_a, lamdot_a, (t_a, 0.75))
+    assert [(seg.chart, seg.end) for seg in sol.segments] == [("g", "chart_switch"), ("nu", "pole_cap")]
+    g_run, nu_run = sol.segments
+    t_s = g_run.hi
+    assert abs(t_s / sol.lam(t_s)) == pytest.approx(0.3 * t_s, rel=1e-9)
+    assert nu_run.steps <= 6
+    ((t_p, side),) = sol.pole_markers
+    assert side == "right" and abs(t_p - wide.pole_markers[0][0]) <= 1e-10 * t_p
+
+
+def test_the_nu_chart_needs_the_swapped_parameters(monkeypatch):
+    # g = t/lam solves P-III' with chi0 and chi_inf swapped.  Handing the nu
+    # chart's Hamilton field and momentum the unswapped parameters instead
+    # takes g off the Laurent series the capped launch starts on, by 2.1e-4
+    # before t0 - 0.01 t0, where the correct run stays within 2e-12
+    field, momentum = ode.hamilton_field, ode.mu_from_lambda
+    swapped = P.swapped()
+    assert swapped != P
+    monkeypatch.setattr(ode, "hamilton_field", lambda q, s: field(P if q == swapped else q, s))
+    monkeypatch.setattr(ode, "mu_from_lambda", lambda t, v, vdot, s, q: momentum(t, v, vdot, s, P if q == swapped else q))
+    a, sol = _pole_capped_solution()
+    assert {seg.chart for seg in sol.segments} == {"nu"}
+    gap_g, _ = _pole_gaps(a, sol, a.t0 - 0.01 * a.t0)
+    assert gap_g > 1e-6
 
 
 @pytest.mark.parametrize("side", [-1, 1])
 def test_mu_chart_state_matches_the_root_expansion(side):
     # launched from the order-20 root series 0.15 t0 to one side of the root
-    # at 0.511115, a sweep toward it steps lam until |lam| = 0.1|t| and
-    # (lam, mu) from there through the root to the span end 0.05 t0 past it.
-    # Over those two mu-chart runs lam stays within 2.7e-13 of the series,
-    # lam' within 5.9e-12 and mu within 6.5e-10 of the order-20 momentum
-    # series; the root lies within 2.7e-13 and its lam3 within 7.5e-10
+    # at 0.511115, where |lam| = 0.14 t lies inside the band |lam| < 0.3|t|,
+    # both sweeps step (lam, mu): the one toward the root through it to the
+    # span end 0.05 t0 past it.  Over those two runs lam stays within 9.7e-13
+    # of the series, lam' within 6.5e-12 and mu within 3.9e-10 of the
+    # order-20 momentum series; the root lies within 1.2e-13 and its lam3
+    # within 5.3e-11.  test_chart_switch_edges_are_continuous checks where
+    # runs enter and leave mu
     a = RootAnchor(0.511115, SignSwitch(1), -9.01149)
     lam = assemble_lambda(a, taylor_at_root(a, P, 20), P)
     mu = run_scheme(a, P, 20)[1]
     dt0 = side * 0.15 * a.t0
     span = tuple(sorted((a.t0 + dt0, a.t0 - side * 0.05 * a.t0)))
-    sol = integrate(P, a.t0 + dt0, series_eval(lam, dt0), series_eval_derivative(lam, dt0), span)
+    lam0 = series_eval(lam, dt0)
+    assert abs(lam0) < 0.3 * (a.t0 + dt0)
+    sol = integrate(P, a.t0 + dt0, lam0, series_eval_derivative(lam, dt0), span)
     (c,) = sol.crossings
-    ends = [("lam", "chart_switch"), ("mu", "root"), ("mu", "span_end")]
+    ends = [("mu", "root"), ("mu", "span_end")]
     assert [(seg.chart, seg.end) for seg in sol.segments] == (ends if side < 0 else ends[::-1])
     assert abs(c.t0 - a.t0) <= 1e-11 and abs(c.lam3 - a.lam3) <= 5e-9
-    (seg,) = [s for s in sol.segments if s.end == "root"]
-    entry = seg.lo if side < 0 else seg.hi
-    assert abs(sol.lam(entry)) == pytest.approx(0.1 * entry, rel=1e-9)  # handed over from lam there
-    for seg in sol.segments[1:] if side < 0 else sol.segments[:-1]:
+    for seg in sol.segments:
         for t in np.linspace(seg.lo, seg.hi, 201).tolist():
             lam_t, lamdot_t = sol.state(t)
             assert abs(lam_t - series_eval(lam, t - a.t0)) <= 2e-12
@@ -587,7 +642,7 @@ def test_mu_chart_state_matches_the_root_expansion(side):
 
 
 def test_lam_turning_back_inside_the_band_leaves_the_mu_chart():
-    # the launch lies inside |lam| < 0.1|t|, so both sweeps start in mu.
+    # the launch lies inside |lam| < 0.3|t|, so both sweeps start in mu.
     # Past the root at 2.0108 the left sweep steps mu with that root's
     # switch sg = -1.  lam then turns back at |lam| = 0.063|t|, inside the
     # band, and heads for a root of slope +1, where the mu of sg = -1 has a
@@ -634,7 +689,7 @@ def _chart_switch_edges(sol, t_init):
             right = seg.lo >= t_init
             t_s = seg.hi if right else seg.lo
             (nxt,) = [s for s in sol.segments if (s.lo if right else s.hi) == t_s and s is not seg]
-            assert nxt.chart != seg.chart or seg.chart == "mu"  # a turn moves to the other switch's mu chart
+            assert nxt.chart != seg.chart or seg.chart in ("mu", "nu")  # a turn moves to the other switch's Hamiltonian chart
             out.append((t_s, seg, nxt, 1 if right else -1))
     return out
 
@@ -643,25 +698,47 @@ def test_chart_switch_edges_are_continuous(seeded_pole_runs, appendix_solution):
     # at every switch the run that ends there and the one that starts there
     # give the same (lam, lam'), the second from the first's state mapped to
     # the other chart, so they differ only in the mapping's rounding: at
-    # most 5.5e-16 from lam to g and 1.2e-16 from lam to mu (lam' goes
-    # through mu = (... + (lam' - sg) t)/(2 lam^2) and back); none where a
-    # run hands back to lam, which starts from the state it is handed
+    # most 5.5e-16 from lam to g, 1.7e-16 from lam to mu and 2.1e-16 from g
+    # to nu (v' goes through mu = (... + (v' - sg) t)/(2 v^2) and back); none
+    # where a Hamiltonian run hands back to its variable's scalar chart,
+    # which starts from the state it is handed.  At a turn (mu to mu) lam'
+    # is zero up to rounding on both sides, so it is compared absolutely, as
+    # test_lam_turning_back_inside_the_band_leaves_the_mu_chart does.  Each
+    # switch sits at its event's level: a Hamiltonian chart is entered where
+    # |v| falls to 0.3|t| and left where it rises to 0.6|t| (v = lam in mu,
+    # g = t/lam in nu), and a scalar chart left where v^2 rises to 4|t|.
+    # Sweeping back from 3.0 over each seeded run leaves mu going left
     a, wide = _pole_capped_solution((0.1, 0.75))
     runs = [(wide, a.t0 + -0.05 * a.t0), (appendix_solution, acceptance.REF_CAUCHY[0])]
     runs += [(sol, args[0]) for _, args, sol in seeded_pole_runs]
+    runs += [(integrate(p, 3.0, *sol.state(3.0), (sol.t_min, 3.0)), 3.0) for p, _, sol in seeded_pole_runs]
     edges = [e for sol, t_init in runs for e in _chart_switch_edges(sol, t_init)]
     kinds = {(seg.chart, nxt.chart, direction) for _, seg, nxt, direction in edges}
     assert {("lam", "mu", 1), ("lam", "mu", -1), ("mu", "lam", 1), ("mu", "lam", -1)} <= kinds
-    assert {(seg, nxt) for seg, nxt, _ in kinds} == {("lam", "g"), ("g", "lam"), ("lam", "mu"), ("mu", "lam")}
+    assert {("g", "nu", -1), ("nu", "g", -1)} <= kinds
+    assert {(seg, nxt) for seg, nxt, _ in kinds} == {
+        ("lam", "g"), ("g", "lam"), ("lam", "mu"), ("mu", "lam"), ("mu", "mu"), ("g", "nu"), ("nu", "g"),
+    }
+    levels = {("lam", "mu"): 0.3, ("g", "nu"): 0.3, ("mu", "lam"): 0.6, ("nu", "g"): 0.6}
     for t_s, seg, nxt, _ in edges:
-        for u, v in zip(seg.sol(t_s), nxt.sol(t_s)):
-            assert abs(u - v) <= 1e-12 * abs(u)
+        (lam, lamdot), (nxt_lam, nxt_lamdot) = seg.sol(t_s), nxt.sol(t_s)
+        assert abs(lam - nxt_lam) <= 1e-12 * abs(lam)
+        if seg.chart == nxt.chart:
+            assert abs(lamdot) < 1e-12 and abs(nxt_lamdot) < 1e-12
+        else:
+            assert abs(lamdot - nxt_lamdot) <= 1e-12 * abs(lamdot)
+        v = lam if seg.chart in ("lam", "mu") else t_s / lam
+        if (seg.chart, nxt.chart) in levels:
+            assert abs(v) == pytest.approx(levels[seg.chart, nxt.chart] * t_s, rel=1e-9)
+        elif seg.chart != nxt.chart:
+            assert v * v == pytest.approx(4 * t_s, rel=1e-9)
 
 
 def test_launch_beyond_the_chart_threshold_starts_in_g():
-    # lam0^2 = 379 > 4 t_init: both sweeps start in g = t/lam.  Going left,
-    # lam falls and the run hands back to lam where lam^2 = t/4, the other
-    # end of the factor-16 hysteresis
+    # lam0^2 = 379 > 4 t_init: both sweeps start with g = t/lam, and since
+    # |g| < 0.3|t| there, in (g, nu).  Going left, g rises and the run hands
+    # over to g where |g| = 0.6|t|, and on to lam where lam^2 = t/4, the
+    # other end of the factor-16 hysteresis
     from p3prime.poles import root_to_pole
 
     a, sol = _pole_capped_solution((0.1, 0.75))
@@ -669,9 +746,9 @@ def test_launch_beyond_the_chart_threshold_starts_in_g():
     t_init = a.t0 + dt0  # the launch point of _pole_capped_solution
     le = root_to_pole(a, P, 6)
     lam0, lamdot0 = le.eval(dt0), le.eval_derivative(dt0)
-    assert lam0**2 > 4 * t_init
+    assert lam0**2 > 4 * t_init and abs(t_init / lam0) < 0.3 * t_init
     charts_and_ends = [(seg.chart, seg.end) for seg in sol.segments]
-    assert charts_and_ends == [("lam", "span_end"), ("g", "chart_switch"), ("g", "pole_cap")]
+    assert charts_and_ends == [("lam", "span_end"), ("g", "chart_switch"), ("nu", "chart_switch"), ("nu", "pole_cap")]
     t_s = sol.segments[0].hi
     lam_s = sol.state(t_s)[0]
     assert lam_s**2 == pytest.approx(t_s / 4, rel=1e-9)

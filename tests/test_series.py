@@ -25,12 +25,33 @@ from p3prime import (
     run_scheme,
     series_eval,
     step_lambda,
-    step_lambda_refined,
     step_mu,
     taylor_at_root,
 )
 from p3prime import _poly
-from p3prime.series import _kernel_lambda_eta, _kernel_mu_eta, _kernel_xi_eta
+from p3prime.series import _kernel_lambda_eta, _kernel_mu_eta, _kernel_xi_eta, _require_same_anchor
+
+
+def step_lambda_refined(lam_in, mu_in, a, p):
+    """Refined lam update whose structure pins the value at the root
+    exactly; output validity min(order(lam_in)+1, order(mu_in)).
+
+    ``run_scheme`` does not use it: it is the independent oracle that
+    ``test_init_pair_matches_refined_step_from_zero`` checks ``init_pair``
+    against."""
+    _require_same_anchor(lam_in, mu_in)
+    sg, t0 = a.s, a.t0
+    v = min(lam_in.valid_order + 1, mu_in.valid_order)
+    mu_k = _kernel_mu_eta(lam_in.trusted(), mu_in.trusted(), a, p)
+    xi_k = _kernel_xi_eta(lam_in.trusted(), mu_in.trusted(), a, p)
+    om = _poly.padd(_poly.pscale(_poly.psigma_avg(mu_k), 2.0), _poly.psigma_avg(xi_k, 3))
+    inner = _poly.padd(
+        _poly.padd([(p.chi_inf + sg * p.chi0 - 1) / (4 * t0)], lam_in.trusted()),
+        _poly.pscale(om, -1 / (3 * t0)),
+    )
+    out = _poly.padd([a.lam3], _poly.pshift(_poly.pscale(inner, -1 / t0), 1))
+    return DtSeries(a, _poly.ptrim(out, v), v)
+
 
 A = RootAnchor(0.9, SignSwitch(1), 1.3)
 P = EquationParams(0.4, -1.1)
