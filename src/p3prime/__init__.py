@@ -12,7 +12,6 @@ from .equation import (
     SignSwitch,
     VariableMap,
     convert_p3_to_p3prime,
-    hamilton_rhs,
     hamiltonian,
     mu_from_lambda,
     rhs_scalar,

@@ -23,7 +23,7 @@ from .equation import (
     RootAnchor,
     SignSwitch,
     convert_p3_to_p3prime,
-    hamilton_rhs,
+    hamilton_field,
     hamiltonian,
     invert_p3prime_params,
     mu_from_lambda,
@@ -273,8 +273,9 @@ def criterion_8(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Cross-formulation consistency: Hamiltonian vs scalar integration to
-    1e-6 between consecutive roots; vector field vs finite-difference
-    gradients of the Hamiltonian to 1e-7 at 100 random points.
+    1e-6 between consecutive roots; the vector field the integrators step
+    (``hamilton_field``) vs finite-difference gradients of the Hamiltonian
+    to 1e-7 at 100 random points.
 
     The reference solution is not scalar over the whole window: it steps the
     stretch around each root in the (lam, mu) chart, so on the worked
@@ -302,7 +303,7 @@ def criterion_9(seed: int = DEFAULT_SEED) -> CriterionResult:
             mu = float(rng.uniform(-2, 2))
             p = EquationParams(float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3)))
             s = SignSwitch(1 if rng.random() < 0.5 else -1)
-            ld, md = hamilton_rhs(PhasePoint(t, lam, mu), p, s)
+            ld, md = hamilton_field(p, s)(t, [lam, mu])
             dd_mu = (
                 hamiltonian(PhasePoint(t, lam, mu + h), p, s)
                 - hamiltonian(PhasePoint(t, lam, mu - h), p, s)

@@ -155,25 +155,11 @@ def hamiltonian(pt: PhasePoint, p: EquationParams, s: SignSwitch) -> float:
     ) / t
 
 
-def hamilton_rhs(pt: PhasePoint, p: EquationParams, s: SignSwitch) -> tuple[float, float]:
-    """(lam', mu') = (dH/dmu, -dH/dlam) in explicit form."""
-    if pt.t == 0:
-        raise DomainError("t = 0 is outside the Hamiltonian domain")
-    sg = s.sgn
-    lam, mu, t = pt.lam, pt.mu, pt.t
-    lam_dot = (sg * t - (sg * p.chi0 - 1) * lam + (2 * mu - 1) * (lam * lam)) / t
-    mu_dot = (
-        -0.5 * (p.chi_inf + sg * p.chi0 - 1)
-        + (sg * p.chi0 - 1 + 2 * lam) * mu
-        - 2 * lam * (mu * mu)
-    ) / t
-    return lam_dot, mu_dot
-
-
 def hamilton_field(p: EquationParams, s: SignSwitch):
-    """``hamilton_rhs`` as a first-order right-hand side f(t, [lam, mu]) for
-    the integrators, with the constants of (p, s) formed once; t != 0 is
-    the caller's to ensure.  Squares are products, not ``**``, so a trial
+    """The Hamilton equations (lam', mu') = (dH/dmu, -dH/dlam) in explicit
+    form, as a first-order right-hand side f(t, [lam, mu]) for the
+    integrators, with the constants of (p, s) formed once; t != 0 is the
+    caller's to ensure.  Squares are products, not ``**``, so a trial
     stage that overflows gives inf, which the step controller rejects,
     instead of raising OverflowError."""
     sg = s.sgn

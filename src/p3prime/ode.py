@@ -1,42 +1,44 @@
 """Independent numerical integration of P-III' through its roots.
 
-The sweep is symmetric in two variables, lam and g = t/lam.  g solves P-III'
-with chi0 and chi_inf swapped and has a simple root at every pole of lam, as
-lam has at every root.  Each variable is stepped in one of two charts: a
-scalar chart ("lam", "g") on the second-order equation, or a Hamiltonian
-chart ("mu", "nu") on the polynomial vector field of the sign switch sg that
-matches the variable's slope at its next root, where the momentum is regular
-and the root an ordinary point of the run.  The scalar right-hand side is
-0/0-indeterminate at a root of its variable, so no scalar chart is stepped
-into one.
+The sweep steps one of three charts.  Between singular points it steps lam
+on the second-order equation ("lam").  Through roots it steps (lam, mu)
+("mu") on the polynomial Hamilton field of the sign switch sg that matches
+lam's slope at its next root, where the momentum mu is regular and the root
+an ordinary point of the run.  Into poles it steps (g, nu) ("nu"), the same
+chart for g = t/lam, which solves P-III' with chi0 and chi_inf swapped and
+has a simple root at every pole of lam.  The scalar right-hand side is
+0/0-indeterminate at a root of lam, so no lam run is stepped into one.
 
-A scalar-chart run hands over to its variable's Hamiltonian chart when s0*v
-falls to 0.3|t| (v the variable, s0 its sign where the run starts), with
-sg = sign(v') there and the momentum from ``mu_from_lambda`` (on the swapped
-parameters for g); a scalar-chart start inside |v| < 0.3|t| starts there the
-same way.  A Hamiltonian run hands back when |v| rises to 0.6|t|, and moves
-to the chart of -sg, its momentum recomputed from (v, v'), when sg*v' falls
-through zero: v has turned back toward a root of the other slope, at which
-this momentum has a double pole.  A scalar run switches to the other
-variable when the square of its own exceeds 4|t| (lam^2 > 4|t|, or
-g^2 > 4|t|, that is lam^2 < |t|/4: a factor-16 hysteresis).  Each solver run stays in
-one chart, and its segment's interpolant maps back to (lam, lam').
+A lam run hands over to mu where s0*lam falls to 0.3|t| (s0 the sign of lam
+where the run starts), and to nu where lam^2 rises to 4|t|; a launch, or a
+hand-back, with |lam| <= 0.3|t| or lam^2 >= 4|t| starts there the same
+way.  The switch is sg = sign(v') of the chart's variable v (lam in
+mu, g in nu), or, where v' = 0, the sign v' takes next in the sweep
+direction, and the momentum comes from ``mu_from_lambda`` (on the swapped
+parameters for nu).  A mu run hands back to lam when |lam| rises to 0.6|t|,
+a nu run when g^2 rises to 4|t|, that is when lam^2 falls to |t|/4 (a
+factor-16 hysteresis).  A Hamiltonian run moves to the chart of -sg, its
+momentum recomputed from (v, v'), when sg*v' falls through zero: v has
+turned back toward a root of the other slope, at which this momentum has a
+double pole.  sg flips there; it is not recomputed from v', which is zero
+up to rounding.  Each solver run stays in one chart, and its segment's
+interpolant maps back to (lam, lam').
 
-A mu-chart run stops where s0*lam falls through zero, so the event search
-places the root t0 on the run's interpolant, and records the root with the
-cubic coefficient lam3 = lam'''(t0)/6 read off mu(t0), ``series.mu_at_root``
+A mu run stops where s0*lam falls through zero, so the event search places
+the root t0 on the run's interpolant, and records the root with the cubic
+coefficient lam3 = lam'''(t0)/6 read off mu(t0), ``series.mu_at_root``
 inverted.  The relaunch goes on from the same (lam, mu) with s0 = sg times
-the sweep direction.  Poles are not crossed: a nu-chart run stops where
-|lam| reaches a cap of 1e6 (s0*g - |t|/1e6 falls through zero), and the
-integration stops on that side and leaves a pole marker.
+the sweep direction.  Only a mu run reaches lam = 0, so these records are
+the roots of the computed span, and ``find_roots`` returns them.  Poles are
+not crossed: a nu run stops where |lam| reaches a cap of 1e6
+(s0*g - |t|/1e6 falls through zero), and the integration stops on that
+side and leaves a pole marker.
 
 The stepping runs on ``_rk.solve_ivp``, scipy's DOP853 (order 8, with a
-7th-order dense output formed lazily) ported to Python floats.  Each solver
-segment keeps its step count, its right-hand-side calls and why it ended;
-``integrate`` logs them, and each root crossed, one line each at DEBUG
-(``P3_LOG=debug``).  A sign change between mesh nodes away from the crossed
-roots is polished with ``_rk.brentq``, a port of scipy's, so the module
-needs no scipy at run time.
+7th-order dense output formed lazily) ported to Python floats, so the
+module needs no scipy at run time.  Each solver segment keeps its step
+count, its right-hand-side calls and why it ended; ``integrate`` logs them,
+and each root crossed, one line each at DEBUG (``P3_LOG=debug``).
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from operator import mul
 
 import numpy as np
 
+# brentq is not called here; it stays because bench/tracer.py wraps ode.brentq by name, as it wraps least_squares
 from ._rk import EPS, DenseOutput, brentq, solve_ivp
 from .equation import (
     DomainError,
@@ -62,10 +65,9 @@ from .equation import (
 from .series import DtSeries, series_eval
 
 _POLE_CAP = 1e6  # |lam| at which a sweep stops and leaves a pole marker
-_CHART_SWITCH = 4.0  # a scalar run switches variable when its variable squared exceeds this * |t|
-# the stretch around a root of lam or of g = t/lam (a pole of lam) is stepped
-# in that variable's Hamiltonian chart: a run enters it when the variable's
-# magnitude falls to _MU_ENTER |t| and leaves it when it rises to _MU_LEAVE |t|
+_CHART_SWITCH = 4.0  # a lam run hands over to nu, and a nu run back to lam, when its variable squared exceeds this * |t|
+# the stretch around a root of lam is stepped in the mu chart: a run enters
+# it when |lam| falls to _MU_ENTER |t| and leaves it when |lam| rises to _MU_LEAVE |t|
 _MU_ENTER = 0.3
 _MU_LEAVE = 0.6
 # least_squares is not called here; it stays, with FitResult, _dot and these, because bench/tracer.py wraps it by name
@@ -115,23 +117,18 @@ class Segment:
     # "span_end", "root" (lam fell through zero), "pole_cap" (|lam| reached
     # the cap) or "chart_switch" (the next run steps another chart)
     end: str
-    # what the run stepped: "lam", "g" = t/lam, or on the Hamilton field of
-    # the slope-matching switch "mu" = (lam, mu) or "nu" = (g, nu), the
-    # latter on the swapped equation's
+    # what the run stepped: "lam" on the scalar equation, or on the Hamilton
+    # field of the slope-matching switch "mu" = (lam, mu) or "nu" = (g, nu)
+    # with g = t/lam, the latter on the swapped equation's
     chart: str = "lam"
 
 
-# the scalar charts, each variable's other scalar chart and its Hamiltonian chart
-_SCALAR = ("lam", "g")
-_OTHER = {"lam": "g", "g": "lam"}
-_HAMILTONIAN = {"lam": "mu", "g": "nu"}
 # per chart, for the index of the terminal event that fired: why the segment
 # ended and the chart of the next run
 _EVENT_ENDS = {
-    "lam": (("chart_switch", "g"), ("chart_switch", "mu")),
-    "g": (("chart_switch", "lam"), ("chart_switch", "nu")),
+    "lam": (("chart_switch", "nu"), ("chart_switch", "mu")),
     "mu": (("root", "mu"), ("chart_switch", "lam"), ("chart_switch", "mu")),
-    "nu": (("pole_cap", None), ("chart_switch", "g"), ("chart_switch", "nu")),
+    "nu": (("pole_cap", None), ("chart_switch", "lam"), ("chart_switch", "nu")),
 }
 
 
@@ -150,17 +147,6 @@ def _lam_on(hamilton):
         return [y[0], hamilton(t, y)[0]]
 
     return to_lam
-
-
-def _view(own, reciprocal):
-    """A run's map to (lam, lam'): ``own`` to the stepped variable's (v, v')
-    (None where the run steps (v, v') itself), then for v = g the
-    reciprocal map; None where the map is the identity."""
-    if not reciprocal:
-        return own
-    if own is None:
-        return _reciprocal
-    return lambda t, y: _reciprocal(t, own(t, y))
 
 
 def _band_event(s0, level, direction):
@@ -185,22 +171,22 @@ def _turn_event(own, sg):
 
 
 class _LamFrom:
-    """A g-, mu- or nu-chart run's dense output read as (lam, lam') through
-    ``to_lam(t, y)``, for calls and for the accepted states ``ys`` next to
-    the mesh ``ts``."""
+    """A mu- or nu-chart run's dense output read as (lam, lam'): the chart's
+    (v, v') from ``own(t, y)``, then for v = g the reciprocal map."""
 
-    def __init__(self, sol: DenseOutput, to_lam):
+    def __init__(self, sol: DenseOutput, own, reciprocal: bool):
         self.sol = sol
-        self.to_lam = to_lam
+        self.own = own
+        self.reciprocal = reciprocal
         self.ts = sol.ts
-        self.ys = [to_lam(t, y) for t, y in zip(sol.ts, sol.ys)]
 
     @property
     def nfev(self) -> int:
         return self.sol.nfev
 
     def __call__(self, t):
-        return self.to_lam(t, self.sol(t))
+        y = self.own(t, self.sol(t))
+        return _reciprocal(t, y) if self.reciprocal else y
 
 
 @dataclass
@@ -362,60 +348,58 @@ def integrate(
 
     sol = DenseSolution(params=p, rel_tol=rel_tol, abs_tol=abs_tol)
 
-    def first_order(q):
-        def rhs(t, y):
-            v, vdot = y
-            return (vdot, rhs_scalar(t, v, vdot, q))
+    def rhs(t, y):
+        lam, lamdot = y
+        return (lamdot, rhs_scalar(t, lam, lamdot, p))
 
-        return rhs
-
-    # the parameters each chart's variable solves with: g = t/lam solves the swapped equation
-    params = {"lam": p, "mu": p, "g": p.swapped(), "nu": p.swapped()}
-    rhs = {chart: first_order(params[chart]) for chart in ("lam", "g")}
+    # the parameters each Hamiltonian chart's variable solves with: g = t/lam solves the swapped equation
+    params = {"mu": p, "nu": p.swapped()}
     fields = {(chart, sg): hamilton_field(params[chart], SignSwitch(sg)) for chart in ("mu", "nu") for sg in (1, -1)}
 
-    def ev_leave(t, y):
+    def ev_switch(t, y):  # lam^2 rising to 4|t| in the lam chart, g^2 in the nu chart
         return y[0] * y[0] - _CHART_SWITCH * abs(t)
 
-    ev_leave.direction = 1
+    ev_switch.direction = 1
 
     def sweep(t_start, y_start, t_end):
         # the next run starts at t_cur in ``chart``, from y_v = (v, v') of
-        # the chart's variable v (lam for lam and mu, g for g and nu) or,
-        # past a crossed root, from y_ham = (lam, mu) with s0 given; sg is
-        # its switch in a Hamiltonian chart
+        # the chart's variable v (lam for lam and mu, g for nu) or, past a
+        # crossed root, from y_ham = (lam, mu) with s0 given; sg is the
+        # switch of a Hamiltonian chart, None until the chart is entered
         t_cur, y_v, y_ham, chart, sg = t_start, list(y_start), None, "lam", None
         direction = 1.0 if t_end > t_start else -1.0
         while (t_end - t_cur) * direction > 0:
-            if chart in _SCALAR:
-                if y_v[0] * y_v[0] > _CHART_SWITCH * abs(t_cur):
-                    # a launch, or any hand-back, beyond the threshold steps the other variable
-                    chart, y_v = _OTHER[chart], _reciprocal(t_cur, y_v)
-                if abs(y_v[0]) < _MU_ENTER * abs(t_cur):
-                    # one inside the band steps the variable's Hamiltonian chart
-                    chart, sg = _HAMILTONIAN[chart], 1 if y_v[1] > 0 else -1
-            if chart in _SCALAR:
-                fun, y_cur, own = rhs[chart], y_v, None
+            if chart == "lam":
+                # a launch, or a hand-back, on or beyond a threshold starts in that
+                # threshold's chart, where the lam chart's event would fire at once
+                if y_v[0] * y_v[0] >= _CHART_SWITCH * abs(t_cur):
+                    chart, y_v = "nu", _reciprocal(t_cur, y_v)
+                elif abs(y_v[0]) <= _MU_ENTER * abs(t_cur):
+                    chart = "mu"
+            if chart == "lam":
+                fun, y_cur, own = rhs, y_v, None
             else:
+                if sg is None:  # sign(v'), or where v' = 0 that of direction * v'': no turn at the start
+                    sg = 1 if (y_v[1] or direction * rhs_scalar(t_cur, *y_v, params[chart])) > 0 else -1
                 fun = fields[chart, sg]
                 own = _lam_on(fun)
                 y_cur = y_ham or [y_v[0], mu_from_lambda(t_cur, *y_v, SignSwitch(sg), params[chart])]
-            view = _view(own, chart in ("g", "nu"))
             # past a root lam starts at zero and takes the sign sg*direction
             s0 = sg * direction if y_ham else math.copysign(1.0, y_cur[0])
-            # each chart's band event falls through zero at its threshold
-            # (lam and g: the Hamiltonian chart's entry; mu: the root; nu:
-            # the pole cap) and stays negative past it, so a step that jumps
-            # the threshold still fires it and the event search finds that point
-            if chart in _SCALAR:
-                events = [ev_leave, _band_event(s0, _MU_ENTER, -1)]
+            # the band events fall through zero at their threshold (lam: the
+            # mu chart's entry; mu: the root; nu: the pole cap) and stay
+            # negative past it, so a step that jumps the threshold still
+            # fires them and the event search finds that point
+            if chart == "lam":
+                events = [ev_switch, _band_event(s0, _MU_ENTER, -1)]
+            elif chart == "mu":
+                events = [_band_event(s0, 0.0, -1), _band_event(s0, _MU_LEAVE, 1), _turn_event(own, sg)]
             else:
-                zero = 0.0 if chart == "mu" else 1 / _POLE_CAP
-                events = [_band_event(s0, zero, -1), _band_event(s0, _MU_LEAVE, 1), _turn_event(own, sg)]
+                events = [_band_event(s0, 1 / _POLE_CAP, -1), ev_switch, _turn_event(own, sg)]
             res = solve_ivp(fun, (t_cur, t_end), y_cur, rtol=rel_tol, atol=abs_tol, events=events)
             if res.status == -1:
                 raise IntegrationError(f"integration failed near t={res.t[-1]}: {res.message}")
-            seg = res.sol if view is None else _LamFrom(res.sol, view)
+            seg = res.sol if own is None else _LamFrom(res.sol, own, chart == "nu")
             if res.status == 0:  # reached t_end
                 (end, nxt), t_s = ("span_end", None), res.t[-1]
             else:
@@ -437,10 +421,10 @@ def integrate(
                 sol.crossings.append(RootInfo(t_s, sg, lam3))
             elif nxt == chart:
                 sg = -sg  # the variable turned back toward a root of the other slope
-            elif nxt in _HAMILTONIAN.values():
-                sg = 1 if y_v[1] > 0 else -1  # the switch that matches the slope at the root ahead
-            elif nxt == _OTHER.get(chart):
-                y_v = _reciprocal(t_s, y_v)
+            else:
+                sg = None  # a Hamiltonian chart entered next takes the slope's switch
+                if "nu" in (chart, nxt):
+                    y_v = _reciprocal(t_s, y_v)
             chart = nxt
 
     if hi > t_init:
@@ -493,35 +477,12 @@ def root_slope(sol: DenseSolution, t0: float) -> float:
     return (4 * s2 - s1) / 3
 
 
-def _node_lams(sol: DenseSolution) -> tuple[list, list]:
-    """The sorted distinct mesh nodes and lam at each, without interpolating:
-    the accepted state the first segment (by ``lo``) with that node kept,
-    which differs from ``state``'s interpolant only in rounding."""
-    lam_at = {}
-    for seg in sol.segments:
-        for t, y in zip(seg.sol.ts, seg.sol.ys):
-            lam_at.setdefault(t, y[0])
-    ts = sorted(lam_at)
-    return ts, [lam_at[t] for t in ts]
-
-
 def find_roots(sol: DenseSolution) -> list[RootInfo]:
-    """All roots of lam in the computed span: the roots ``integrate``
-    crossed, plus a sign-change scan of lam at the mesh nodes
-    (``_node_lams``) between which no crossed root lies, each change
-    polished with ``brentq`` on ``lam``; the scan is a safety net and is
-    normally empty."""
-    roots = [RootInfo(c.t0, c.sgn) for c in sol.crossings]
-    crossed = {c.t0 for c in sol.crossings}  # mesh nodes, where lam reads zero up to rounding
-    ts, vals = _node_lams(sol)
-    for i in range(len(ts) - 1):
-        lo, hi = ts[i], ts[i + 1]
-        if vals[i] == 0.0 or vals[i] * vals[i + 1] >= 0 or lo in crossed or hi in crossed:
-            continue
-        r = brentq(sol.lam, lo, hi, xtol=1e-14 * max(1.0, abs(hi)))
-        if all(abs(r - q.t0) > 1e-8 * max(1.0, abs(r)) for q in roots):
-            roots.append(RootInfo(float(r), 1 if sol.lam_dot(r) > 0 else -1))
-    return sorted(roots, key=lambda r: r.t0)
+    """All roots of lam in the computed span, in order: the roots
+    ``integrate`` stepped through, without their lam3.  Only a mu run
+    reaches lam = 0, and it ends on the root event there, so no root of the
+    span lies outside these records."""
+    return [RootInfo(c.t0, c.sgn) for c in sol.crossings]
 
 
 def lam3_at_root(sol: DenseSolution, root: RootInfo, p: EquationParams) -> float:

@@ -16,7 +16,6 @@ from p3prime import (
     RootAnchor,
     SignSwitch,
     convert_p3_to_p3prime,
-    hamilton_rhs,
     hamiltonian,
     mu_from_lambda,
     rhs_scalar,
@@ -150,8 +149,9 @@ def test_hamiltonian_exact_rational_property(t, lam, mu, chi0, chinf, sgn):
 
 
 def test_hamilton_rhs_trivial_point():
+    # the Hamilton equations' right-hand side, as the integrators step it
     p = EquationParams(0.7, -1.3)
-    ld, md = hamilton_rhs(PhasePoint(1.0, 0.0, 0.0), p, SignSwitch(1))
+    ld, md = hamilton_field(p, SignSwitch(1))(1.0, [0.0, 0.0])
     assert ld == pytest.approx(1.0)
     assert md == pytest.approx(-0.5 * (p.chi_inf + p.chi0 - 1))
 
@@ -167,7 +167,7 @@ def test_hamilton_rhs_is_hamiltonian_gradient():
         )
         p = EquationParams(*rng.uniform(-3, 3, 2))
         s = SignSwitch(int(rng.choice([-1, 1])))
-        ld, md = hamilton_rhs(pt, p, s)
+        ld, md = hamilton_field(p, s)(pt.t, [pt.lam, pt.mu])
         dmu = (
             hamiltonian(PhasePoint(pt.t, pt.lam, pt.mu + h), p, s)
             - hamiltonian(PhasePoint(pt.t, pt.lam, pt.mu - h), p, s)
@@ -178,20 +178,6 @@ def test_hamilton_rhs_is_hamiltonian_gradient():
         ) / (2 * h)
         assert ld == pytest.approx(dmu, rel=1e-7, abs=1e-7)
         assert md == pytest.approx(-dlam, rel=1e-7, abs=1e-7)
-
-
-def test_hamilton_field_is_hamilton_rhs():
-    # the integrators' first-order form, built once per (p, s), gives the
-    # pointwise vector field bit for bit, the same sums in the same order
-    rng = np.random.default_rng(13)
-    for _ in range(20):
-        p = EquationParams(*rng.uniform(-3, 3, 2).tolist())
-        for sgn in (1, -1):
-            field = hamilton_field(p, SignSwitch(sgn))
-            for _ in range(10):
-                t = float(rng.choice([-1, 1]) * rng.uniform(0.05, 3))
-                lam, mu = rng.uniform(-2, 2, 2).tolist()
-                assert field(t, [lam, mu]) == hamilton_rhs(PhasePoint(t, lam, mu), p, SignSwitch(sgn))
 
 
 def test_scalar_equation_equals_eliminated_hamiltonian_form():
@@ -206,11 +192,12 @@ def test_scalar_equation_equals_eliminated_hamiltonian_form():
         p = EquationParams(*rng.uniform(-2, 2, 2))
         s = SignSwitch(int(rng.choice([-1, 1])))
         mu = mu_from_lambda(t, lam, lamdot, s, p)
+        field = hamilton_field(p, s)
 
         def lam_dot_of(tt, ll, mm):
-            return hamilton_rhs(PhasePoint(tt, ll, mm), p, s)[0]
+            return field(tt, [ll, mm])[0]
 
-        mu_dot = hamilton_rhs(PhasePoint(t, lam, mu), p, s)[1]
+        mu_dot = field(t, [lam, mu])[1]
         d_t = (lam_dot_of(t + h, lam, mu) - lam_dot_of(t - h, lam, mu)) / (2 * h)
         d_lam = (lam_dot_of(t, lam + h, mu) - lam_dot_of(t, lam - h, mu)) / (2 * h)
         d_mu = (lam_dot_of(t, lam, mu + h) - lam_dot_of(t, lam, mu - h)) / (2 * h)

@@ -13,9 +13,7 @@ from scipy.optimize import least_squares as scipy_least_squares
 
 from p3prime import DomainError, EquationParams, RootAnchor, SignSwitch, _rk, acceptance, mu_from_lambda, ode
 from p3prime.ode import (
-    DenseSolution,
     IntegrationError,
-    Segment,
     compare_series,
     find_roots,
     integrate,
@@ -48,7 +46,7 @@ def test_input_validation():
         integrate(P, 1.0, 0.0, 1.0, (0.5, 2.0))  # launch on a root
     with pytest.raises(DomainError):
         integrate(P, 0.1, 1.0, 0.0, (0.5, 2.0))  # t_init outside span
-    # beyond the pole cap the g chart's cap event could not fire
+    # beyond the pole cap the nu chart's cap event could not fire
     with pytest.raises(DomainError, match="pole cap"):
         integrate(P, 1.0, -2e6, 1.0, (0.5, 2.0))
 
@@ -210,9 +208,9 @@ def test_hamiltonian_step_size_underflow_raises(monkeypatch):
 def test_segment_run_record(monkeypatch, seeded_pole_runs):
     p_pole, args_pole, _ = seeded_pole_runs[0]
     # the calls of both right-hand sides the runs step: the scalar one of the
-    # lam and g charts and the Hamilton field of the mu and nu charts (their
-    # events and their maps to (lam, lam') evaluate the field too, but do not
-    # step it, so the count wraps what each run is handed)
+    # lam chart and the Hamilton field of the mu and nu charts (their events
+    # and their maps to (lam, lam') evaluate the field too, but do not step
+    # it, so the count wraps what each run is handed)
     calls = []
     solve = ode.solve_ivp
 
@@ -239,11 +237,11 @@ def test_segment_run_record(monkeypatch, seeded_pole_runs):
     assert len(worked.crossings) == 6 and not worked.pole_markers
     assert ends.count("span_end") == 2  # one per sweep direction
     assert {seg.chart for seg in worked.segments} == {"lam", "mu"}
-    # the left sweep switches to g = t/lam, then to (g, nu), and stops at a
-    # pole cap there; the right one enters mu and steps through a root to the
-    # span end
+    # the left sweep switches to (g, nu) with g = t/lam and stops at a pole
+    # cap there; the right one enters mu and steps through a root to the span
+    # end
     assert [(seg.chart, seg.end) for seg in pole.segments] == [
-        ("nu", "pole_cap"), ("g", "chart_switch"), ("lam", "chart_switch"),
+        ("nu", "pole_cap"), ("lam", "chart_switch"),
         ("lam", "chart_switch"), ("mu", "root"), ("mu", "span_end"),
     ]
     assert len(pole.crossings) == 1
@@ -498,8 +496,8 @@ def seeded_pole_runs():
 
 def _pole_approach(sol, seg):
     """(start, marker) of the sweep into ``seg``'s pole cap: walking back
-    across the g and nu runs that led to ``seg``, the start of the last
-    lam-chart run before them, or the launch if there is none."""
+    across the nu runs that led to ``seg``, the start of the last lam-chart
+    run before them, or the launch if there is none."""
     right = (seg.hi, "right") in sol.pole_markers
     near, marker = (seg.lo, seg.hi) if right else (seg.hi, seg.lo)
     while True:
@@ -507,7 +505,7 @@ def _pole_approach(sol, seg):
         if not prev:
             return near, marker
         (prev,) = prev
-        assert prev.chart in ("lam", "g", "nu")
+        assert prev.chart in ("lam", "nu")
         near = prev.lo if right else prev.hi
         if prev.chart == "lam":
             return near, marker
@@ -531,7 +529,7 @@ def _scipy_pole_marker(p, sol, t_a, t_end):
 
 
 def test_pole_markers_match_scipy_in_the_lam_chart(seeded_pole_runs):
-    # the approach through g and nu against scipy stepping lam into the cap
+    # the approach through nu against scipy stepping lam into the cap
     # from the same state: at most 3.1e-11 relative
     _, capped = _pole_capped_solution()
     runs = [(P, capped, (0.55, 0.75))] + [(p, sol, SEEDED_SPAN) for p, _, sol in seeded_pole_runs]
@@ -563,8 +561,8 @@ def _pole_gaps(a, sol, t_end):
 
 
 def test_g_chart_state_matches_the_pole_expansion():
-    # through the charts of g = t/lam (here both sweeps step (g, nu), the
-    # launch lying inside |g| < 0.3|t|) the solution stays on the Laurent
+    # through the chart (g, nu) of g = t/lam (here both sweeps step it, the
+    # launch lying beyond lam^2 > 4|t|) the solution stays on the Laurent
     # series it was launched from: over t0 - 0.05 t0 .. the marker (7.0e-7
     # left of the pole), g = t/lam within 4.9e-13 and g' within 3.2e-11 (from
     # the Hamilton field), where lam itself has |lam| up to 1e6
@@ -574,23 +572,22 @@ def test_g_chart_state_matches_the_pole_expansion():
     assert gap_g <= 2e-12 and gap_gdot <= 5e-10
 
 
-def test_nu_chart_takes_over_from_g_at_the_band():
-    # relaunched at t = 0.4 from the wide capped run, where |g| = 0.71 t, a
-    # sweep to the right steps g until |g| falls to 0.3|t| and hands over to
-    # (g, nu), which reaches the cap in 4 steps.  Stepping g itself from the
-    # capped launch into the cap took 16: its right-hand side cancels like
-    # (g'^2 - 1)/g there, so its steps shrink geometrically.  The marker lies
-    # within 4.3e-12 (relative) of the wide run's
+def test_nu_chart_takes_over_from_lam_at_the_threshold():
+    # relaunched at t = 0.15 from the wide capped run, where lam^2 = 0.17 t,
+    # a sweep to the right steps lam until lam^2 rises to 4|t| and hands
+    # over to (g, nu), which reaches the cap in 6 steps, where the g and nu
+    # runs of a scalar g chart took 5 + 4.  The marker lies within 1.4e-11
+    # (relative) of the wide run's
     a, wide = _pole_capped_solution((0.1, 0.75))
-    t_a = 0.4
+    t_a = 0.15
     lam_a, lamdot_a = wide.state(t_a)
-    assert abs(t_a / lam_a) > 0.6 * t_a
+    assert 0.3 * t_a < abs(lam_a) and lam_a**2 < 4 * t_a
     sol = integrate(P, t_a, lam_a, lamdot_a, (t_a, 0.75))
-    assert [(seg.chart, seg.end) for seg in sol.segments] == [("g", "chart_switch"), ("nu", "pole_cap")]
-    g_run, nu_run = sol.segments
-    t_s = g_run.hi
-    assert abs(t_s / sol.lam(t_s)) == pytest.approx(0.3 * t_s, rel=1e-9)
-    assert nu_run.steps <= 6
+    assert [(seg.chart, seg.end) for seg in sol.segments] == [("lam", "chart_switch"), ("nu", "pole_cap")]
+    lam_run, nu_run = sol.segments
+    t_s = lam_run.hi
+    assert sol.lam(t_s) ** 2 == pytest.approx(4 * t_s, rel=1e-9)
+    assert nu_run.steps < 9
     ((t_p, side),) = sol.pole_markers
     assert side == "right" and abs(t_p - wide.pole_markers[0][0]) <= 1e-10 * t_p
 
@@ -668,6 +665,32 @@ def test_lam_turning_back_inside_the_band_leaves_the_mu_chart():
         assert abs(c.t0 - ref.t0) <= 1e-8 * ref.t0
 
 
+@pytest.mark.parametrize("t_init, lam0, lamdot0, chart", [
+    (0.5, 0.1, 0.0, "mu"), (0.5, -0.1, 0.0, "mu"), (0.5, -3.0, -6.0, "nu"), (0.5, 0.15, 0.3, "mu"), (0.25, 1.0, 0.5, "nu"),
+])
+def test_launches_on_a_chart_edge_leave_no_empty_segment(monkeypatch, t_init, lam0, lamdot0, chart):
+    # the first three launches start both sweeps in a Hamiltonian chart with
+    # v' = 0 (v = lam in mu; v = g = t/lam in nu, where g' = (lam - t lam')/lam^2).
+    # Taking sg = -1 there made the left sweep's turn event fire at the
+    # launch and record a segment (0.5, 0.5), which unsorted the segments'
+    # hi for the first launch, so lookups in (0.5, 0.653] raised DomainError.
+    # The last two sit exactly on a threshold of the lam chart (|lam| =
+    # 0.3|t|, lam^2 = 4|t|), whose event fired at the launch the same way
+    calls = []
+    solve = ode.solve_ivp
+
+    def counted_solve(fun, *args, **kwargs):
+        return solve(lambda t, y: calls.append(1) or fun(t, y), *args, **kwargs)
+
+    monkeypatch.setattr(ode, "solve_ivp", counted_solve)
+    sol = integrate(P, t_init, lam0, lamdot0, (0.1, 1.0))
+    assert all(seg.lo < seg.hi for seg in sol.segments)
+    assert [seg.chart for seg in sol.segments if t_init in (seg.lo, seg.hi)] == [chart, chart]
+    assert sum(seg.rhs_calls for seg in sol.segments) == len(calls)
+    for t in np.linspace(sol.t_min, sol.t_max, 901).tolist():
+        sol.state(t)
+
+
 def test_a_launch_inside_the_band_steps_no_lam_chart():
     # over (0.05, 3) the same solution turns back between every pair of its
     # 17 roots at about 0.063|t|, so it never leaves (lam, mu): 283 accepted
@@ -698,16 +721,16 @@ def test_chart_switch_edges_are_continuous(seeded_pole_runs, appendix_solution):
     # at every switch the run that ends there and the one that starts there
     # give the same (lam, lam'), the second from the first's state mapped to
     # the other chart, so they differ only in the mapping's rounding: at
-    # most 5.5e-16 from lam to g, 1.7e-16 from lam to mu and 2.1e-16 from g
-    # to nu (v' goes through mu = (... + (v' - sg) t)/(2 v^2) and back); none
-    # where a Hamiltonian run hands back to its variable's scalar chart,
-    # which starts from the state it is handed.  At a turn (mu to mu) lam'
-    # is zero up to rounding on both sides, so it is compared absolutely, as
-    # test_lam_turning_back_inside_the_band_leaves_the_mu_chart does.  Each
-    # switch sits at its event's level: a Hamiltonian chart is entered where
-    # |v| falls to 0.3|t| and left where it rises to 0.6|t| (v = lam in mu,
-    # g = t/lam in nu), and a scalar chart left where v^2 rises to 4|t|.
-    # Sweeping back from 3.0 over each seeded run leaves mu going left
+    # most 1.7e-16 from lam to mu and 5.5e-16 from lam to nu (v' goes
+    # through the momentum = (... + (v' - sg) t)/(2 v^2) and back, and into
+    # nu through g = t/lam as well); none where a Hamiltonian run hands back
+    # to lam, which starts from the state it is handed.  At a turn (mu to
+    # mu) lam' is zero up to rounding on both sides, so it is compared
+    # absolutely, as test_lam_turning_back_inside_the_band_leaves_the_mu_chart
+    # does.  Each switch sits at its event's level: mu is entered where
+    # |lam| falls to 0.3|t| and left where it rises to 0.6|t|, nu entered
+    # where lam^2 rises to 4|t| and left where g^2 does.  Sweeping back from
+    # 3.0 over each seeded run leaves mu going left
     a, wide = _pole_capped_solution((0.1, 0.75))
     runs = [(wide, a.t0 + -0.05 * a.t0), (appendix_solution, acceptance.REF_CAUCHY[0])]
     runs += [(sol, args[0]) for _, args, sol in seeded_pole_runs]
@@ -715,11 +738,9 @@ def test_chart_switch_edges_are_continuous(seeded_pole_runs, appendix_solution):
     edges = [e for sol, t_init in runs for e in _chart_switch_edges(sol, t_init)]
     kinds = {(seg.chart, nxt.chart, direction) for _, seg, nxt, direction in edges}
     assert {("lam", "mu", 1), ("lam", "mu", -1), ("mu", "lam", 1), ("mu", "lam", -1)} <= kinds
-    assert {("g", "nu", -1), ("nu", "g", -1)} <= kinds
-    assert {(seg, nxt) for seg, nxt, _ in kinds} == {
-        ("lam", "g"), ("g", "lam"), ("lam", "mu"), ("mu", "lam"), ("mu", "mu"), ("g", "nu"), ("nu", "g"),
-    }
-    levels = {("lam", "mu"): 0.3, ("g", "nu"): 0.3, ("mu", "lam"): 0.6, ("nu", "g"): 0.6}
+    assert {("lam", "nu", -1), ("nu", "lam", -1)} <= kinds
+    assert {(seg, nxt) for seg, nxt, _ in kinds} == {("lam", "nu"), ("nu", "lam"), ("lam", "mu"), ("mu", "lam"), ("mu", "mu")}
+    levels = {("lam", "mu"): 0.3, ("mu", "lam"): 0.6}
     for t_s, seg, nxt, _ in edges:
         (lam, lamdot), (nxt_lam, nxt_lamdot) = seg.sol(t_s), nxt.sol(t_s)
         assert abs(lam - nxt_lam) <= 1e-12 * abs(lam)
@@ -727,18 +748,17 @@ def test_chart_switch_edges_are_continuous(seeded_pole_runs, appendix_solution):
             assert abs(lamdot) < 1e-12 and abs(nxt_lamdot) < 1e-12
         else:
             assert abs(lamdot - nxt_lamdot) <= 1e-12 * abs(lamdot)
-        v = lam if seg.chart in ("lam", "mu") else t_s / lam
+        v = t_s / lam if seg.chart == "nu" else lam
         if (seg.chart, nxt.chart) in levels:
             assert abs(v) == pytest.approx(levels[seg.chart, nxt.chart] * t_s, rel=1e-9)
         elif seg.chart != nxt.chart:
             assert v * v == pytest.approx(4 * t_s, rel=1e-9)
 
 
-def test_launch_beyond_the_chart_threshold_starts_in_g():
-    # lam0^2 = 379 > 4 t_init: both sweeps start with g = t/lam, and since
-    # |g| < 0.3|t| there, in (g, nu).  Going left, g rises and the run hands
-    # over to g where |g| = 0.6|t|, and on to lam where lam^2 = t/4, the
-    # other end of the factor-16 hysteresis
+def test_launch_beyond_the_chart_threshold_starts_in_nu():
+    # lam0^2 = 379 > 4 t_init: both sweeps start in (g, nu) with g = t/lam.
+    # Going left, g rises and the run hands back to lam where g^2 = 4|t|,
+    # that is lam^2 = t/4, the other end of the factor-16 hysteresis
     from p3prime.poles import root_to_pole
 
     a, sol = _pole_capped_solution((0.1, 0.75))
@@ -746,9 +766,9 @@ def test_launch_beyond_the_chart_threshold_starts_in_g():
     t_init = a.t0 + dt0  # the launch point of _pole_capped_solution
     le = root_to_pole(a, P, 6)
     lam0, lamdot0 = le.eval(dt0), le.eval_derivative(dt0)
-    assert lam0**2 > 4 * t_init and abs(t_init / lam0) < 0.3 * t_init
+    assert lam0**2 > 4 * t_init
     charts_and_ends = [(seg.chart, seg.end) for seg in sol.segments]
-    assert charts_and_ends == [("lam", "span_end"), ("g", "chart_switch"), ("nu", "chart_switch"), ("nu", "pole_cap")]
+    assert charts_and_ends == [("lam", "span_end"), ("nu", "chart_switch"), ("nu", "pole_cap")]
     t_s = sol.segments[0].hi
     lam_s = sol.state(t_s)[0]
     assert lam_s**2 == pytest.approx(t_s / 4, rel=1e-9)
@@ -767,36 +787,6 @@ def test_third_derivative_curve_readback(appendix_solution):
     read = float(np.interp(t_c, grid, curve))
     direct = third_derivative(t_c, *sol.state(t_c), P)
     assert read == pytest.approx(direct, rel=1e-3)
-
-
-def test_find_roots_scan_polishes_a_sign_change_between_nodes():
-    # no crossing records: only the node scan and its brentq polish can find
-    # the root of lam'' = -lam, lam = sin t, at pi
-    res = _rk.solve_ivp(lambda t, y: (y[1], -y[0]), (1.0, 5.0), [math.sin(1.0), math.cos(1.0)],
-                        rtol=1e-10, atol=1e-12)
-    sol = DenseSolution(P, 1e-10, 1e-12)
-    sol.segments.append(Segment(1.0, 5.0, res.sol, len(res.t) - 1, res.nfev, "span_end"))
-    roots = find_roots(sol)
-    assert len(roots) == 1
-    assert abs(roots[0].t0 - math.pi) <= 1e-10
-    assert roots[0].sgn == -1
-
-
-@pytest.mark.parametrize("case", ["worked_example", "pole_capped"])
-def test_node_lams_are_what_lam_reads(case, appendix_solution):
-    sol = appendix_solution if case == "worked_example" else _pole_capped_solution()[1]
-    ts, vals = ode._node_lams(sol)
-    assert ts == sorted({t for seg in sol.segments for t in seg.sol.ts})
-    crossed = {c.t0 for c in sol.crossings}
-    assert crossed <= set(ts)
-    for t, v in zip(ts, vals):
-        lam = sol.lam(t)
-        if t in crossed:
-            # the state the root event left, which lam reads there too
-            assert v == lam and abs(v) <= 1e-15
-        else:
-            # the accepted state, where lam interpolates: equal up to rounding
-            assert abs(v - lam) <= 4 * _rk.EPS * max(1.0, abs(lam)) and v * lam > 0
 
 
 def _lam3_reads(sol, r, monkeypatch):
