@@ -21,7 +21,7 @@ the error estimate into the step sizes; the numbers of accepted steps and
 right-hand-side calls stay scipy's.
 
 Events are located with ``brentq``, a port of scipy's that gives its
-iterates bit for bit; ``ode`` polishes roots with it too.
+iterates bit for bit.
 """
 
 from __future__ import annotations
@@ -280,8 +280,7 @@ class DenseOutput:
     left on an ascending mesh, right on the reversed descending one.
     ``ys[k]`` is the accepted state at ``ts[k]``; after a terminal event the
     last entry is the interpolated state at the event time, ``self(ts[-1])``.
-    The first evaluation in a step calls ``fun`` three times; ``nfev``
-    counts the calls made through this object.
+    The first evaluation in a step calls ``fun`` three times.
     """
 
     def __init__(self, ts, ys, pieces, fun):
@@ -289,7 +288,6 @@ class DenseOutput:
         self.ys = ys
         self.pieces = pieces
         self.fun = fun
-        self.nfev = 0
         self._ascending = ts[-1] >= ts[0]
         self._ts_sorted = ts if self._ascending else ts[::-1]
 
@@ -299,10 +297,7 @@ class DenseOutput:
             i = min(max(bisect_left(self._ts_sorted, t) - 1, 0), last)
         else:
             i = last - min(max(bisect_right(self._ts_sorted, t) - 1, 0), last)
-        piece = self.pieces[i]
-        if type(piece[4]) is array:
-            self.nfev += len(A_EXTRA)
-        return _interpolate(piece, t, self.fun)
+        return _interpolate(self.pieces[i], t, self.fun)
 
 
 @dataclass

@@ -15,7 +15,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,38 +27,6 @@ from .series import assemble_lambda, run_scheme, series_eval, series_eval_deriva
 
 log = logging.getLogger("p3prime")
 
-_COMMANDS = (
-    "expand-root",
-    "expand-pole",
-    "integrate",
-    "find-roots",
-    "lam3",
-    "residual",
-    "symmetry",
-    "verify",
-    "bounds",
-    "reproduce-appendix",
-)
-
-
-@dataclass
-class RunConfig:
-    """Validated inputs of one CLI invocation."""
-
-    command: str
-    params: EquationParams | None
-    anchor: RootAnchor | None
-    cauchy: tuple | None
-    lam3_given: bool
-    order: int
-    span: tuple | None
-    rel_tol: float
-    abs_tol: float
-    alpha: float
-    seed: int
-    out: str
-    fmt: str
-
 
 class UsageError(Exception):
     pass
@@ -70,14 +37,6 @@ def _setup_logging() -> None:
         os.environ.get("P3_LOG", "error"), logging.ERROR
     )
     logging.basicConfig(stream=sys.stderr, level=level, format="p3prime: %(message)s")
-
-
-def _parse_span(text: str) -> tuple:
-    try:
-        a, b = text.split(":")
-        return (float(a), float(b))
-    except ValueError as exc:
-        raise UsageError(f"--span expects A:B, got {text!r}") from exc
 
 
 def _read_config(path: str) -> dict:
@@ -138,13 +97,28 @@ def _parse_args(argv) -> argparse.Namespace:
     return ap.parse_args(argv)
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    params = None
+# how _validate names each input a command can require
+_INPUTS = {
+    "params": "--chi0 and --chiinf",
+    "anchor": "--t0, --sgn and --lam3",
+    "lam3": "--lam3",
+    "span": "--span A:B",
+    "cauchy": "--cauchy T:LAM:LAMDOT (or an anchor)",
+}
+
+
+def _validate(args: argparse.Namespace) -> None:
+    """Check every flag, whatever the command, and leave ``params``,
+    ``anchor``, ``cauchy`` and ``span`` on ``args`` as parsed values (None
+    when not given); then check the inputs the command requires, in the
+    order its ``_COMMANDS`` entry lists them.  An anchor stands in for
+    missing initial data."""
+    args.params = None
     if args.chi0 is not None or args.chiinf is not None:
         if args.chi0 is None or args.chiinf is None:
             raise UsageError("--chi0 and --chiinf must be given together")
-        params = EquationParams(args.chi0, args.chiinf)
-    anchor = None
+        args.params = EquationParams(args.chi0, args.chiinf)
+    args.anchor = None
     if args.t0 is not None or args.sgn is not None or args.lam3 is not None:
         if args.t0 is None or args.sgn is None:
             raise UsageError("--t0 and --sgn must be given together")
@@ -156,180 +130,162 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             raise UsageError(f"--sgn must be +1 or -1, got {args.sgn!r}") from exc
         if sgn not in (-1, 1):
             raise UsageError(f"--sgn must be +1 or -1, got {sgn}")
-        anchor = RootAnchor(args.t0, SignSwitch(sgn), args.lam3 if args.lam3 is not None else 0.0)
-    cauchy = None
+        args.anchor = RootAnchor(args.t0, SignSwitch(sgn), args.lam3 if args.lam3 is not None else 0.0)
     if args.cauchy is not None:
         parts = args.cauchy.split(":")
         if len(parts) != 3:
             raise UsageError("--cauchy expects T:LAM:LAMDOT")
-        cauchy = tuple(float(x) for x in parts)
-    span = _parse_span(args.span) if args.span is not None else None
+        args.cauchy = tuple(float(x) for x in parts)
+    if args.span is not None:
+        try:
+            a, b = args.span.split(":")
+            args.span = (float(a), float(b))
+        except ValueError as exc:
+            raise UsageError(f"--span expects A:B, got {args.span!r}") from exc
     if args.order < 0:
         raise UsageError("--order must be >= 0")
-    return RunConfig(
-        command=args.command,
-        params=params,
-        anchor=anchor,
-        cauchy=cauchy,
-        lam3_given=args.lam3 is not None,
-        order=args.order,
-        span=span,
-        rel_tol=args.rel_tol,
-        abs_tol=args.abs_tol,
-        alpha=args.alpha,
-        seed=args.seed,
-        out=args.out,
-        fmt=args.fmt,
-    )
+    for need in _COMMANDS[args.command][1]:
+        given = args.anchor if need == "cauchy" and args.cauchy is None else getattr(args, need)
+        if given is None:
+            raise UsageError(f"{args.command} requires {_INPUTS[need]}")
 
 
-def _need(cfg: RunConfig, params=False, anchor=False, span=False, initial=False) -> None:
-    if params and cfg.params is None:
-        raise UsageError(f"{cfg.command} requires --chi0 and --chiinf")
-    if anchor and cfg.anchor is None:
-        raise UsageError(f"{cfg.command} requires --t0, --sgn and --lam3")
-    if span and cfg.span is None:
-        raise UsageError(f"{cfg.command} requires --span A:B")
-    if initial and cfg.cauchy is None and cfg.anchor is None:
-        raise UsageError(f"{cfg.command} requires --cauchy T:LAM:LAMDOT (or an anchor)")
-
-
-def _integrate_from_cfg(cfg: RunConfig):
-    if cfg.cauchy is not None:
-        t_i, lam_i, lamdot_i = cfg.cauchy
+def _solve(args):
+    if args.cauchy is not None:
+        t_i, lam_i, lamdot_i = args.cauchy
     else:
         # launch just off the anchored root using the local expansion
-        a = cfg.anchor
-        lam3s, _ = run_scheme(a, cfg.params, max(cfg.order, 3))
-        lam = assemble_lambda(a, lam3s, cfg.params)
+        a = args.anchor
+        lam3s, _ = run_scheme(a, args.params, max(args.order, 3))
+        lam = assemble_lambda(a, lam3s, args.params)
         dt = 0.01 * abs(a.t0)
         t_i = a.t0 + dt
         lam_i = series_eval(lam, dt)
         lamdot_i = series_eval_derivative(lam, dt)
-    return integrate(cfg.params, t_i, lam_i, lamdot_i, cfg.span, cfg.rel_tol, cfg.abs_tol)
+    return integrate(args.params, t_i, lam_i, lamdot_i, args.span, args.rel_tol, args.abs_tol)
 
 
-def cmd_expand(cfg: RunConfig) -> int:
-    """expand-root / expand-pole: write series (or Laurent) JSON + curve CSV."""
-    _need(cfg, params=True, anchor=True)
-    if not cfg.lam3_given:
-        raise UsageError(f"{cfg.command} requires --lam3")
-    a, p = cfg.anchor, cfg.params
-    base = cfg.out
-    if cfg.command == "expand-root":
-        lam3s, _ = run_scheme(a, p, cfg.order)
-        lam = assemble_lambda(a, lam3s, p)
-        with open(base + ".json", "w", encoding="utf-8") as fh:
-            fh.write(io.series_to_json(lam3s, p))
-        dts = np.linspace(-0.3 * abs(a.t0), 0.3 * abs(a.t0), 601)
-        io.write_csv(
-            base + ".csv",
-            ["t", "lambda"],
-            ((a.t0 + dt, series_eval(lam, dt)) for dt in dts),
-        )
-    else:
-        le = root_to_pole(a, p, cfg.order)
-        with open(base + ".json", "w", encoding="utf-8") as fh:
-            fh.write(io.laurent_to_json(le, p, a.s, a.lam3))
-        mags = np.linspace(0.02 * abs(a.t0), 0.3 * abs(a.t0), 300)
-        dts = np.concatenate([-mags[::-1], mags])
-        io.write_csv(
-            base + ".csv",
-            ["t", "lambda"],
-            ((a.t0 + dt, le.eval(dt)) for dt in dts),
-        )
-    log.info("wrote %s.json and %s.csv", base, base)
+def _off_roots(lo: float, hi: float, n: int, roots, gap: float) -> list:
+    """``np.linspace(lo, hi, n)`` less the points within ``gap`` of a root."""
+    return [t for t in np.linspace(lo, hi, n) if all(abs(t - r.t0) > gap for r in roots)]
+
+
+def _expand_root(args) -> int:
+    """Write the series JSON and its curve CSV."""
+    a, p = args.anchor, args.params
+    lam3s, _ = run_scheme(a, p, args.order)
+    lam = assemble_lambda(a, lam3s, p)
+    with open(args.out + ".json", "w", encoding="utf-8") as fh:
+        fh.write(io.series_to_json(lam3s, p))
+    dts = np.linspace(-0.3 * abs(a.t0), 0.3 * abs(a.t0), 601)
+    io.write_csv(
+        args.out + ".csv",
+        ["t", "lambda"],
+        ((a.t0 + dt, series_eval(lam, dt)) for dt in dts),
+    )
+    log.info("wrote %s.json and %s.csv", args.out, args.out)
     return 0
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
-    """integrate / find-roots / lam3 / residual / symmetry."""
-    _need(cfg, params=True, span=True, initial=True)
-    sol = _integrate_from_cfg(cfg)
-    base = cfg.out
-    if cfg.command == "integrate":
-        grid = np.linspace(sol.t_min, sol.t_max, 2001)
-        io.dense_solution_to_csv(sol, grid, base + ".csv")
-        log.info("wrote %s.csv", base)
-        return 0
+def _expand_pole(args) -> int:
+    """Write the Laurent expansion JSON and its curve CSV."""
+    a, p = args.anchor, args.params
+    le = root_to_pole(a, p, args.order)
+    with open(args.out + ".json", "w", encoding="utf-8") as fh:
+        fh.write(io.laurent_to_json(le, p, a.s, a.lam3))
+    mags = np.linspace(0.02 * abs(a.t0), 0.3 * abs(a.t0), 300)
+    dts = np.concatenate([-mags[::-1], mags])
+    io.write_csv(
+        args.out + ".csv",
+        ["t", "lambda"],
+        ((a.t0 + dt, le.eval(dt)) for dt in dts),
+    )
+    log.info("wrote %s.json and %s.csv", args.out, args.out)
+    return 0
+
+
+def _integrate(args) -> int:
+    sol = _solve(args)
+    grid = np.linspace(sol.t_min, sol.t_max, 2001)
+    io.dense_solution_to_csv(sol, grid, args.out + ".csv")
+    log.info("wrote %s.csv", args.out)
+    return 0
+
+
+def _roots(args) -> int:
+    """find-roots / lam3: the roots the run crossed, lam3 filled in for lam3."""
+    sol = _solve(args)
     roots = find_roots(sol)
-    if cfg.command in ("find-roots", "lam3"):
-        if cfg.command == "lam3":
-            roots = [RootInfo(r.t0, r.sgn, lam3_at_root(sol, r, cfg.params)) for r in roots]
-        if cfg.fmt == "csv":
-            io.write_csv(
-                base + ".csv",
-                ["t0", "sgn", "lam3"],
-                ((r.t0, r.sgn, float("nan") if r.lam3 is None else r.lam3) for r in roots),
-            )
-        else:
-            with open(base + ".json", "w", encoding="utf-8") as fh:
-                fh.write(io.roots_to_json(roots))
-        print(io.roots_to_json(roots), end="")
-        return 0
-    if cfg.command == "residual":
-        lo = sol.t_min + 0.02 * (sol.t_max - sol.t_min)
-        hi = sol.t_max - 0.02 * (sol.t_max - sol.t_min)
-        grid = [
-            t
-            for t in np.linspace(lo, hi, 401)
-            if all(abs(t - r.t0) > 0.02 * (hi - lo) for r in roots)
-        ]
-        rows = residual_scan(sol, grid, fd_step=0.005)
-        io.write_csv(base + ".csv", ["t", "residual"], rows)
-        print(f"max |residual| = {max(abs(r) for _, r in rows):.3e}")
-        return 0
-    if cfg.command == "symmetry":
-        lo, hi = sol.t_min, sol.t_max
-        pad = 0.05 * (hi - lo)
-        grid = [
-            t
-            for t in np.linspace(lo + pad, hi - pad, 41)
-            if all(abs(t - r.t0) > 0.05 * (hi - lo) for r in roots)
-        ]
-        # t/lam has a pole at every root of lam, where the swapped run stops,
-        # so keep the stretch between the two roots around the middle point
-        mid = grid[len(grid) // 2]
-        left = max((r.t0 for r in roots if r.t0 < mid), default=-np.inf)
-        right = min((r.t0 for r in roots if r.t0 > mid), default=np.inf)
-        dev = symmetry_check(sol, cfg.params, [t for t in grid if left < t < right])
-        print(f"max |t/lambda - lambda_swapped| = {dev:.3e}")
-        return 0
-    raise UsageError(f"unhandled command {cfg.command}")
+    if args.command == "lam3":
+        roots = [RootInfo(r.t0, r.sgn, lam3_at_root(sol, r, args.params)) for r in roots]
+    if args.fmt == "csv":
+        io.write_csv(
+            args.out + ".csv",
+            ["t0", "sgn", "lam3"],
+            ((r.t0, r.sgn, float("nan") if r.lam3 is None else r.lam3) for r in roots),
+        )
+    else:
+        with open(args.out + ".json", "w", encoding="utf-8") as fh:
+            fh.write(io.roots_to_json(roots))
+    print(io.roots_to_json(roots), end="")
+    return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    """verify / bounds / reproduce-appendix."""
-    if cfg.command == "bounds":
-        _need(cfg, params=True, anchor=True)
-        bs = convergence_bounds(cfg.anchor, cfg.params, cfg.alpha)
-        obj = {k: getattr(bs, k) for k in (
-            "M_lambda", "M_mu", "B_mu_lambda", "B_mu_mu", "B_xi_lambda", "B_xi_mu",
-            "Q1", "Q2", "beta", "alpha", "alpha_tilde",
-        )}
-        print(json.dumps(obj, indent=2))
-        return 0
-    if cfg.command == "verify":
-        results = acceptance.run_all(cfg.seed)
-        for r in results:
-            print(r.line())
-        failures = [r for r in results if not r.passed]
-        for r in failures:
-            print(f"FAILED: {r.name}: {r.detail}", file=sys.stderr)
-        return 3 if failures else 0
-    if cfg.command == "reproduce-appendix":
-        return _reproduce_appendix(cfg)
-    raise UsageError(f"unhandled command {cfg.command}")
+def _residual(args) -> int:
+    sol = _solve(args)
+    lo = sol.t_min + 0.02 * (sol.t_max - sol.t_min)
+    hi = sol.t_max - 0.02 * (sol.t_max - sol.t_min)
+    grid = _off_roots(lo, hi, 401, find_roots(sol), 0.02 * (hi - lo))
+    rows = residual_scan(sol, grid, fd_step=0.005)
+    io.write_csv(args.out + ".csv", ["t", "residual"], rows)
+    print(f"max |residual| = {max(abs(r) for _, r in rows):.3e}")
+    return 0
 
 
-def _reproduce_appendix(cfg: RunConfig) -> int:
+def _symmetry(args) -> int:
+    sol = _solve(args)
+    roots = find_roots(sol)
+    lo, hi = sol.t_min, sol.t_max
+    pad = 0.05 * (hi - lo)
+    grid = _off_roots(lo + pad, hi - pad, 41, roots, 0.05 * (hi - lo))
+    # t/lam has a pole at every root of lam, where the swapped run stops,
+    # so keep the stretch between the two roots around the middle point
+    mid = grid[len(grid) // 2]
+    left = max((r.t0 for r in roots if r.t0 < mid), default=-np.inf)
+    right = min((r.t0 for r in roots if r.t0 > mid), default=np.inf)
+    dev = symmetry_check(sol, args.params, [t for t in grid if left < t < right])
+    print(f"max |t/lambda - lambda_swapped| = {dev:.3e}")
+    return 0
+
+
+def _bounds(args) -> int:
+    bs = convergence_bounds(args.anchor, args.params, args.alpha)
+    obj = {k: getattr(bs, k) for k in (
+        "M_lambda", "M_mu", "B_mu_lambda", "B_mu_mu", "B_xi_lambda", "B_xi_mu",
+        "Q1", "Q2", "beta", "alpha", "alpha_tilde",
+    )}
+    print(json.dumps(obj, indent=2))
+    return 0
+
+
+def _verify(args) -> int:
+    results = acceptance.run_all(args.seed)
+    for r in results:
+        print(r.line())
+    failures = [r for r in results if not r.passed]
+    for r in failures:
+        print(f"FAILED: {r.name}: {r.detail}", file=sys.stderr)
+    return 3 if failures else 0
+
+
+def _reproduce_appendix(args) -> int:
     """Regenerate the worked example: solution curve, residual scan, third
     derivative curve, overlap curves, and the root/lam3 table."""
-    outdir = cfg.out
+    outdir = args.out
     os.makedirs(outdir, exist_ok=True)
     p = acceptance.REF_PARAMS
     t_c, lam_c, lamdot_c = acceptance.REF_CAUCHY
-    sol = integrate(p, t_c, lam_c, lamdot_c, acceptance.REF_SPAN, cfg.rel_tol, cfg.abs_tol)
+    sol = integrate(p, t_c, lam_c, lamdot_c, acceptance.REF_SPAN, args.rel_tol, args.abs_tol)
     roots = find_roots(sol)
     filled = [RootInfo(r.t0, r.sgn, lam3_at_root(sol, r, p)) for r in roots]
 
@@ -338,13 +294,7 @@ def _reproduce_appendix(cfg: RunConfig) -> int:
         os.path.join(outdir, "fig1.csv"), ["t", "lambda"], ((t, sol.lam(float(t))) for t in grid)
     )
 
-    lo, hi = 0.02, 1.99
-    rgrid = [
-        t
-        for t in np.linspace(lo, hi, 801)
-        if all(abs(t - r.t0) > 0.01 for r in roots)
-    ]
-    rows = residual_scan(sol, rgrid, fd_step=0.002)
+    rows = residual_scan(sol, _off_roots(0.02, 1.99, 801, roots, 0.01), fd_step=0.002)
     io.write_csv(os.path.join(outdir, "fig2.csv"), ["t", "residual"], rows)
 
     tgrid = [t for t in np.linspace(0.3, 1.9, 801) if abs(sol.lam(float(t))) > 1e-3]
@@ -373,15 +323,29 @@ def _reproduce_appendix(cfg: RunConfig) -> int:
     return 0
 
 
+_ANALYSIS = ("params", "span", "cauchy")  # what the commands that integrate need
+# per command, its handler and the inputs it requires (keys of _INPUTS), in
+# the order _validate checks them
+_COMMANDS = {
+    "expand-root": (_expand_root, ("params", "anchor", "lam3")),
+    "expand-pole": (_expand_pole, ("params", "anchor", "lam3")),
+    "integrate": (_integrate, _ANALYSIS),
+    "find-roots": (_roots, _ANALYSIS),
+    "lam3": (_roots, _ANALYSIS),
+    "residual": (_residual, _ANALYSIS),
+    "symmetry": (_symmetry, _ANALYSIS),
+    "verify": (_verify, ()),
+    "bounds": (_bounds, ("params", "anchor")),
+    "reproduce-appendix": (_reproduce_appendix, ()),
+}
+
+
 def main(argv=None) -> int:
     _setup_logging()
     try:
-        cfg = _config_from_args(_parse_args(argv))
-        if cfg.command in ("expand-root", "expand-pole"):
-            return cmd_expand(cfg)
-        if cfg.command in ("integrate", "find-roots", "lam3", "residual", "symmetry"):
-            return cmd_analyze(cfg)
-        return cmd_verify(cfg)
+        args = _parse_args(argv)
+        _validate(args)
+        return _COMMANDS[args.command][0](args)
     except (UsageError, InvalidParametersError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -180,10 +180,6 @@ class _LamFrom:
         self.reciprocal = reciprocal
         self.ts = sol.ts
 
-    @property
-    def nfev(self) -> int:
-        return self.sol.nfev
-
     def __call__(self, t):
         y = self.own(t, self.sol(t))
         return _reciprocal(t, y) if self.reciprocal else y
@@ -406,7 +402,7 @@ def integrate(
                 k = next(i for i, te in enumerate(res.t_events) if te)
                 (end, nxt), t_s = _EVENT_ENDS[chart][k], float(res.t_events[k][0])
             sol.segments.append(
-                Segment(min(t_cur, t_s), max(t_cur, t_s), seg, len(res.t) - 1, res.nfev + seg.nfev, end, chart)
+                Segment(min(t_cur, t_s), max(t_cur, t_s), seg, len(res.t) - 1, res.nfev, end, chart)
             )
             if end == "span_end":
                 return

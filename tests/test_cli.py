@@ -11,6 +11,7 @@ import pytest
 
 import p3prime
 from p3prime import EquationParams, LaurentExpansion, RootAnchor, SignSwitch, acceptance
+from p3prime import cli
 from p3prime.cli import main
 from p3prime.io import laurent_to_json, series_to_json
 from p3prime.series import DtSeries, run_scheme
@@ -43,6 +44,62 @@ def test_bad_sgn_and_span_exit_2(tmp_path, capsys):
     assert run(["expand-root", "--t0", "0", "--sgn", "1", "--lam3", "0", "--chi0", "0", "--chiinf", "0", "--out", base]) == 2
     assert run(["integrate", "--chi0", "0", "--chiinf", "0", "--span", "nope", "--cauchy", "1:1:0", "--out", base]) == 2
     capsys.readouterr()
+
+
+PARAMS = ["--chi0", "-0.811597", "--chiinf", "-0.0550042"]
+ANCHOR = ["--t0", "0.511115", "--sgn", "+1"]
+CAUCHY = ["--cauchy", "0.8:1.0:0.5"]
+SPAN = ["--span", "0.6:1.3"]
+
+
+def _requirement_cases():
+    """(command, flags, the error it exits 2 with, or None where it runs),
+    each case one required input short, in the order the inputs are checked."""
+    for cmd in ("expand-root", "expand-pole"):
+        yield pytest.param(cmd, [*ANCHOR, "--lam3", "1"], f"{cmd} requires --chi0 and --chiinf", id=f"{cmd}-params")
+        yield pytest.param(cmd, PARAMS, f"{cmd} requires --t0, --sgn and --lam3", id=f"{cmd}-anchor")
+        yield pytest.param(cmd, [*PARAMS, *ANCHOR], f"{cmd} requires --lam3", id=f"{cmd}-lam3")
+    for cmd in ("integrate", "find-roots", "lam3", "residual", "symmetry"):
+        yield pytest.param(cmd, [*CAUCHY, *SPAN], f"{cmd} requires --chi0 and --chiinf", id=f"{cmd}-params")
+        yield pytest.param(cmd, [*PARAMS, *CAUCHY], f"{cmd} requires --span A:B", id=f"{cmd}-span")
+        yield pytest.param(
+            cmd, [*PARAMS, *SPAN], f"{cmd} requires --cauchy T:LAM:LAMDOT (or an anchor)", id=f"{cmd}-initial"
+        )
+    yield pytest.param("bounds", ANCHOR, "bounds requires --chi0 and --chiinf", id="bounds-params")
+    yield pytest.param("bounds", PARAMS, "bounds requires --t0, --sgn and --lam3", id="bounds-anchor")
+    # the anchor's lam3 defaults to 0, and the certificate needs no more
+    yield pytest.param("bounds", [*PARAMS, *ANCHOR], None, id="bounds-no-lam3")
+    # every flag is checked, whatever the command
+    yield pytest.param("verify", ["--sgn", "2"], "--t0 and --sgn must be given together", id="verify-sgn-alone")
+    yield pytest.param("verify", ["--t0", "1", "--sgn", "2"], "--sgn must be +1 or -1, got 2", id="verify-sgn-2")
+    yield pytest.param("reproduce-appendix", [], None, id="reproduce-appendix")
+
+
+REQUIREMENTS = list(_requirement_cases())
+
+
+def test_requirement_cases_cover_every_command():
+    assert {case.values[0] for case in REQUIREMENTS} == set(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("command, flags, error", REQUIREMENTS)
+def test_command_input_requirements(command, flags, error, tmp_path, capsys):
+    code = run([command, *flags, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    if error is None:
+        assert (code, err) == (0, "")
+    else:
+        assert (code, err) == (2, f"error: {error}\n")
+        assert not list(tmp_path.iterdir())
+
+
+def test_docstring_and_readme_name_the_commands():
+    doc = cli.__doc__.split("Subcommands:", 1)[1].split(".", 1)[0]
+    assert [name.strip() for name in doc.split(",")] == list(cli._COMMANDS)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    named = [line.split()[1] for line in block.splitlines() if line.startswith("p3prime ")]
+    assert sorted(named) == sorted(cli._COMMANDS)
 
 
 def test_expand_root_order_zero(tmp_path):
