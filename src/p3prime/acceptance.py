@@ -28,7 +28,7 @@ from .equation import (
     invert_p3prime_params,
     mu_from_lambda,
 )
-from .ode import find_roots, integrate, integrate_hamiltonian, lam3_at_root, root_slope, symmetry_check, compare_series
+from .ode import compare_series, integrate, integrate_hamiltonian, root_slope, symmetry_check
 from .poles import pole_b5_reference, pole_residual_order, root_to_pole
 from .series import assemble_lambda, lam6_reference, mu_at_root, residual_order, run_scheme, series_eval
 
@@ -69,11 +69,6 @@ def _draws(seed: int, n: int = 20):
 def reference_solution():
     t_c, lam_c, lamdot_c = REF_CAUCHY
     return integrate(REF_PARAMS, t_c, lam_c, lamdot_c, REF_SPAN)
-
-
-@lru_cache(maxsize=1)
-def reference_roots():
-    return find_roots(reference_solution())
 
 
 def _criterion(name: str, seconds: float):
@@ -132,13 +127,12 @@ def criterion_3():
     """Worked-example reproduction: six roots to 1e-3, unit slopes to 1e-3,
     cubic coefficients at the two largest roots within 1%."""
     sol = reference_solution()
-    roots = reference_roots()
+    roots = sol.crossings
     if len(roots) != len(REF_ROOTS):
         return False, f"expected {len(REF_ROOTS)} roots, found {len(roots)}"
     root_err = max(abs(r.t0 - ref) for r, ref in zip(roots, REF_ROOTS))
     slope_err = max(abs(abs(root_slope(sol, r.t0)) - 1.0) for r in roots)
-    l1 = lam3_at_root(sol, roots[4], REF_PARAMS)
-    l2 = lam3_at_root(sol, roots[5], REF_PARAMS)
+    l1, l2 = roots[4].lam3, roots[5].lam3
     lam3_err = max(abs(l1 - REF_LAM3[0]) / abs(REF_LAM3[0]), abs(l2 - REF_LAM3[1]) / abs(REF_LAM3[1]))
     ok = root_err <= 1e-3 and slope_err <= 1e-3 and lam3_err <= 0.01
     return ok, (
@@ -186,16 +180,15 @@ def criterion_6():
     """Momentum dichotomy at the rising root: bounded mu for the matching
     switch, finite nonzero limit of mu*dt^2 for the opposite one."""
     sol = reference_solution()
-    r = reference_roots()[4]
-    a = RootAnchor(r.t0, SignSwitch(r.sgn), lam3_at_root(sol, r, REF_PARAMS))
+    a = sol.crossings[4]
     mu0 = mu_at_root(a, REF_PARAMS)
     dts = np.logspace(-4, -3, 9)
     mus_good, prod_bad = [], []
     for dt in dts:
-        t = r.t0 + dt
+        t = a.t0 + dt
         lam, lamdot = sol.state(t)
-        mus_good.append(mu_from_lambda(t, lam, lamdot, SignSwitch(r.sgn), REF_PARAMS))
-        mu_bad = mu_from_lambda(t, lam, lamdot, SignSwitch(-r.sgn), REF_PARAMS)
+        mus_good.append(mu_from_lambda(t, lam, lamdot, a.sgn, REF_PARAMS))
+        mu_bad = mu_from_lambda(t, lam, lamdot, SignSwitch(-a.s), REF_PARAMS)
         prod_bad.append(mu_bad * dt**2)
     bounded = max(abs(m) for m in mus_good) <= 10 * abs(mu0)
     variation = (max(prod_bad) - min(prod_bad)) / abs(np.mean(prod_bad))

@@ -21,7 +21,7 @@ import numpy as np
 from . import acceptance, io
 from .bounds import convergence_bounds
 from .equation import DomainError, EquationParams, InvalidParametersError, RootAnchor, SignSwitch, third_derivative
-from .ode import IntegrationError, RootInfo, find_roots, integrate, lam3_at_root, residual_scan, symmetry_check
+from .ode import IntegrationError, find_roots, integrate, residual_scan, symmetry_check
 from .poles import root_to_pole
 from .series import assemble_lambda, run_scheme, series_eval, series_eval_derivative
 
@@ -135,7 +135,10 @@ def _validate(args: argparse.Namespace) -> None:
         parts = args.cauchy.split(":")
         if len(parts) != 3:
             raise UsageError("--cauchy expects T:LAM:LAMDOT")
-        args.cauchy = tuple(float(x) for x in parts)
+        try:
+            args.cauchy = tuple(float(x) for x in parts)
+        except ValueError as exc:
+            raise UsageError("--cauchy expects T:LAM:LAMDOT") from exc
     if args.span is not None:
         try:
             a, b = args.span.split(":")
@@ -213,17 +216,10 @@ def _integrate(args) -> int:
 
 
 def _roots(args) -> int:
-    """find-roots / lam3: the roots the run crossed, lam3 filled in for lam3."""
-    sol = _solve(args)
-    roots = find_roots(sol)
-    if args.command == "lam3":
-        roots = [RootInfo(r.t0, r.sgn, lam3_at_root(sol, r, args.params)) for r in roots]
+    """find-roots / lam3: the crossing record (t0, sgn, lam3) of each root the run crossed."""
+    roots = find_roots(_solve(args))
     if args.fmt == "csv":
-        io.write_csv(
-            args.out + ".csv",
-            ["t0", "sgn", "lam3"],
-            ((r.t0, r.sgn, float("nan") if r.lam3 is None else r.lam3) for r in roots),
-        )
+        io.write_csv(args.out + ".csv", ["t0", "sgn", "lam3"], ((r.t0, r.s, r.lam3) for r in roots))
     else:
         with open(args.out + ".json", "w", encoding="utf-8") as fh:
             fh.write(io.roots_to_json(roots))
@@ -236,7 +232,9 @@ def _residual(args) -> int:
     lo = sol.t_min + 0.02 * (sol.t_max - sol.t_min)
     hi = sol.t_max - 0.02 * (sol.t_max - sol.t_min)
     grid = _off_roots(lo, hi, 401, find_roots(sol), 0.02 * (hi - lo))
-    rows = residual_scan(sol, grid, fd_step=0.005)
+    # the five-point stencil reaches 2 fd_step past each grid point, so it
+    # shrinks with the span and stays inside the 2 % margins
+    rows = residual_scan(sol, grid, fd_step=min(0.005, 0.01 * (sol.t_max - sol.t_min)))
     io.write_csv(args.out + ".csv", ["t", "residual"], rows)
     print(f"max |residual| = {max(abs(r) for _, r in rows):.3e}")
     return 0
@@ -287,7 +285,6 @@ def _reproduce_appendix(args) -> int:
     t_c, lam_c, lamdot_c = acceptance.REF_CAUCHY
     sol = integrate(p, t_c, lam_c, lamdot_c, acceptance.REF_SPAN, args.rel_tol, args.abs_tol)
     roots = find_roots(sol)
-    filled = [RootInfo(r.t0, r.sgn, lam3_at_root(sol, r, p)) for r in roots]
 
     grid = np.linspace(sol.t_min, sol.t_max, 4001)
     io.write_csv(
@@ -304,8 +301,7 @@ def _reproduce_appendix(args) -> int:
         ((t, third_derivative(float(t), *sol.state(float(t)), p)) for t in tgrid),
     )
 
-    a1 = RootAnchor(filled[4].t0, SignSwitch(filled[4].sgn), filled[4].lam3)
-    a2 = RootAnchor(filled[5].t0, SignSwitch(filled[5].sgn), filled[5].lam3)
+    a1, a2 = roots[4], roots[5]
     s1 = assemble_lambda(a1, run_scheme(a1, p, 5)[0], p)
     s2 = assemble_lambda(a2, run_scheme(a2, p, 5)[0], p)
     ogrid = np.linspace(0.4, 1.6, 1201)
@@ -318,7 +314,7 @@ def _reproduce_appendix(args) -> int:
         ),
     )
     with open(os.path.join(outdir, "roots.json"), "w", encoding="utf-8") as fh:
-        fh.write(io.roots_to_json(filled))
+        fh.write(io.roots_to_json(roots))
     print(f"wrote fig1.csv fig2.csv fig3.csv fig4.csv roots.json in {outdir}")
     return 0
 

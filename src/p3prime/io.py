@@ -53,10 +53,7 @@ def write_csv(path, header: list[str], rows) -> None:
 
 
 def roots_to_json(roots) -> str:
-    out = [
-        {"t0": float(r.t0), "sgn": int(r.sgn), "lam3": None if r.lam3 is None else float(r.lam3)}
-        for r in roots
-    ]
+    out = [{"t0": float(r.t0), "sgn": r.s, "lam3": float(r.lam3)} for r in roots]
     return json.dumps(out, indent=2) + "\n"
 
 

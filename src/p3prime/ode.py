@@ -25,9 +25,10 @@ up to rounding.  Each solver run stays in one chart, and its segment's
 interpolant maps back to (lam, lam').
 
 A mu run stops where s0*lam falls through zero, so the event search places
-the root t0 on the run's interpolant, and records the root with the cubic
-coefficient lam3 = lam'''(t0)/6 read off mu(t0), ``series.mu_at_root``
-inverted.  The relaunch goes on from the same (lam, mu) with s0 = sg times
+the root t0 on the run's interpolant, and records the root as the
+``RootAnchor`` (t0, sg, lam3) that fixes the solution, with the cubic
+coefficient lam3 = lam'''(t0)/6 read off mu(t0) (``series.lam3_from_mu``).
+The relaunch goes on from the same (lam, mu) with s0 = sg times
 the sweep direction.  Only a mu run reaches lam = 0, so these records are
 the roots of the computed span, and ``find_roots`` returns them.  Poles are
 not crossed: a nu run stops where |lam| reaches a cap of 1e6
@@ -56,13 +57,14 @@ from ._rk import EPS, DenseOutput, brentq, solve_ivp
 from .equation import (
     DomainError,
     EquationParams,
+    RootAnchor,
     SignSwitch,
     hamilton_field,
     mu_from_lambda,
     rhs_scalar,
     third_derivative,
 )
-from .series import DtSeries, series_eval
+from .series import DtSeries, lam3_from_mu, series_eval
 
 _POLE_CAP = 1e6  # |lam| at which a sweep stops and leaves a pole marker
 _CHART_SWITCH = 4.0  # a lam run hands over to nu, and a nu run back to lam, when its variable squared exceeds this * |t|
@@ -92,17 +94,6 @@ def _debug_log():
 
 class IntegrationError(RuntimeError):
     """The integrator failed; the message carries the location."""
-
-
-@dataclass(frozen=True)
-class RootInfo:
-    """A root of lam: location, slope switch, and (for a root ``integrate``
-    crossed) the cubic coefficient lam'''(t0)/6 identifying the local
-    solution family."""
-
-    t0: float
-    sgn: int
-    lam3: float | None = None
 
 
 @dataclass(frozen=True)
@@ -200,7 +191,7 @@ class DenseSolution:
     rel_tol: float
     abs_tol: float
     segments: list = field(default_factory=list)  # Segment records
-    crossings: list = field(default_factory=list)  # RootInfo with lam3 of each root crossed
+    crossings: list = field(default_factory=list)  # RootAnchor (t0, sgn, lam3) of each root crossed
     pole_markers: list = field(default_factory=list)  # (t, side) where |lam| hit the cap
     _his: list = field(default_factory=list, init=False, repr=False, compare=False)  # the segments' hi, bisected
 
@@ -401,6 +392,8 @@ def integrate(
             else:
                 k = next(i for i, te in enumerate(res.t_events) if te)
                 (end, nxt), t_s = _EVENT_ENDS[chart][k], float(res.t_events[k][0])
+            if t_s == t_cur:  # an empty segment would break DenseSolution's bisection
+                raise IntegrationError(f"a {chart}-chart run ended where it started, at t={t_cur}")
             sol.segments.append(
                 Segment(min(t_cur, t_s), max(t_cur, t_s), seg, len(res.t) - 1, res.nfev, end, chart)
             )
@@ -413,8 +406,7 @@ def integrate(
             t_cur, y_v, y_ham = t_s, y_end if own is None else own(t_s, y_end), None
             if end == "root":
                 y_ham = y_end  # (lam, mu) at the root: mu is regular there
-                lam3 = (2 * y_ham[1] - 1 - sg * (1 - p.chi0 * p.chi0) / (2 * t_s)) / (3 * t_s)
-                sol.crossings.append(RootInfo(t_s, sg, lam3))
+                sol.crossings.append(RootAnchor(t_s, sg, lam3_from_mu(t_s, sg, y_ham[1], p)))
             elif nxt == chart:
                 sg = -sg  # the variable turned back toward a root of the other slope
             else:
@@ -473,16 +465,17 @@ def root_slope(sol: DenseSolution, t0: float) -> float:
     return (4 * s2 - s1) / 3
 
 
-def find_roots(sol: DenseSolution) -> list[RootInfo]:
-    """All roots of lam in the computed span, in order: the roots
-    ``integrate`` stepped through, without their lam3.  Only a mu run
-    reaches lam = 0, and it ends on the root event there, so no root of the
-    span lies outside these records."""
-    return [RootInfo(c.t0, c.sgn) for c in sol.crossings]
+def find_roots(sol: DenseSolution) -> list[RootAnchor]:
+    """All roots of lam in the computed span, in order: the crossing records
+    of the roots ``integrate`` stepped through.  Only a mu run reaches
+    lam = 0, and it ends on the root event there, so no root of the span
+    lies outside these records."""
+    return list(sol.crossings)
 
 
-def lam3_at_root(sol: DenseSolution, root: RootInfo, p: EquationParams) -> float:
-    """Cubic coefficient lam'''(t0)/6 extracted from the numerical solution.
+def lam3_at_root(sol: DenseSolution, root: RootAnchor, p: EquationParams) -> float:
+    """Cubic coefficient lam'''(t0)/6 at ``root.t0``, estimated from the
+    numerical solution independently of the crossing record's lam3.
 
     The third derivative is evaluated through its closed form on a grid of
     41 evenly spaced points over the window |t - t0| <= 0.1 |t0|, at those
@@ -550,9 +543,7 @@ def symmetry_check(sol: DenseSolution, p: EquationParams, grid) -> float:
         if abs(sol.lam(t)) < 1e-6 * max(1.0, abs(t)):
             raise DomainError(f"grid point t={t} too close to a zero of lambda")
     t_a = grid[len(grid) // 2]
-    lam_a, lamdot_a = sol.state(t_a)
-    g0 = t_a / lam_a
-    g0dot = (lam_a - t_a * lamdot_a) / lam_a**2
+    g0, g0dot = _reciprocal(t_a, sol.state(t_a))
     swapped = integrate(
         p.swapped(), t_a, g0, g0dot, (min(grid), max(grid)), sol.rel_tol, sol.abs_tol
     )

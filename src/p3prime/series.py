@@ -83,6 +83,12 @@ def mu_at_root(a: RootAnchor, p: EquationParams) -> float:
     return 0.5 * (1 + a.s * (1 - p.chi0**2) / (2 * a.t0) + 3 * a.t0 * a.lam3)
 
 
+def lam3_from_mu(t0: float, sg: int, mu: float, p: EquationParams) -> float:
+    """The cubic coefficient a root at t0 with switch sg has when the
+    momentum there is mu: ``mu_at_root`` inverted."""
+    return (2 * mu - 1 - sg * (1 - p.chi0 * p.chi0) / (2 * t0)) / (3 * t0)
+
+
 def init_pair(a: RootAnchor, p: EquationParams) -> tuple[DtSeries, DtSeries]:
     """Starting data of the iteration: the explicit degree-5 lam polynomial
     and degree-1 mu polynomial produced by one pass of the refined updates on

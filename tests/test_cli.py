@@ -2,6 +2,7 @@
 
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,8 @@ import p3prime
 from p3prime import EquationParams, LaurentExpansion, RootAnchor, SignSwitch, acceptance
 from p3prime import cli
 from p3prime.cli import main
-from p3prime.io import laurent_to_json, series_to_json
+from p3prime.io import laurent_to_json, roots_to_json, series_to_json
+from p3prime.ode import integrate
 from p3prime.series import DtSeries, run_scheme
 
 APX = [
@@ -44,6 +46,8 @@ def test_bad_sgn_and_span_exit_2(tmp_path, capsys):
     assert run(["expand-root", "--t0", "0", "--sgn", "1", "--lam3", "0", "--chi0", "0", "--chiinf", "0", "--out", base]) == 2
     assert run(["integrate", "--chi0", "0", "--chiinf", "0", "--span", "nope", "--cauchy", "1:1:0", "--out", base]) == 2
     capsys.readouterr()
+    assert run(["integrate", "--chi0", "0", "--chiinf", "0", "--cauchy", "1:x:0", "--span", "1:2", "--out", base]) == 2
+    assert "--cauchy expects T:LAM:LAMDOT" in capsys.readouterr().err
 
 
 PARAMS = ["--chi0", "-0.811597", "--chiinf", "-0.0550042"]
@@ -235,6 +239,15 @@ def test_analysis_commands_run(tmp_path, capsys):
     assert "max |t/lambda - lambda_swapped|" in out
 
 
+def test_residual_on_a_span_shorter_than_the_default_stencil(tmp_path, capsys):
+    # a 0.006-wide span: the stencil step shrinks to 1 % of the span, so the
+    # five-point stencil stays inside it (at 0.005 it left the run)
+    base = str(tmp_path / "short")
+    assert run(["residual", *APX, "--span", "0.5115:0.5175", "--out", base]) == 0
+    dev = float(capsys.readouterr().out.rsplit("=", 1)[1])
+    assert dev <= 1e-7  # 1.3e-9
+
+
 def test_symmetry_over_the_worked_example_span(capsys):
     # t/lam has a pole at each of the six roots in (0.01, 2); the grid stays
     # between the two roots around its middle point, where the swapped run is
@@ -257,6 +270,34 @@ def test_reproduce_appendix_files_and_determinism(tmp_path, capsys):
         assert abs(r["t0"] - ref) <= 1e-3
     for name in names:
         assert (first / name).read_bytes() == (second / name).read_bytes()
+    # the table is the run's crossing records as they are
+    assert (first / "roots.json").read_text() == roots_to_json(acceptance.reference_solution().crossings)
+
+
+def test_lam3_matches_a_tight_tolerance_run(tmp_path, capsys):
+    # lam3 reports each crossing's lam3, read off mu(t0): on the worked
+    # example it errs by 1.5e-11 to 4.7e-10 (scaled by max(1, |lam3|)) where
+    # the degree-4 grid fit erred by 3.0e-7 to 2.7e-5
+    base = str(tmp_path / "l3")
+    assert run(["lam3", *WORKED, "--out", base]) == 0
+    capsys.readouterr()
+    roots = json.loads(open(base + ".json").read())
+    tight = integrate(acceptance.REF_PARAMS, *acceptance.REF_CAUCHY, acceptance.REF_SPAN, rel_tol=1e-13, abs_tol=1e-15)
+    assert len(roots) == len(tight.crossings) == 6
+    for r, ref in zip(roots, tight.crossings):
+        assert r["sgn"] == ref.s
+        assert abs(r["lam3"] - ref.lam3) <= 1e-8 * max(1.0, abs(ref.lam3))
+
+
+def test_find_roots_reports_finite_lam3(tmp_path, capsys):
+    base = str(tmp_path / "fr")
+    assert run(["find-roots", *WORKED, "--out", base]) == 0
+    assert run(["find-roots", *WORKED, "--format", "csv", "--out", base]) == 0
+    capsys.readouterr()
+    lam3s = [r["lam3"] for r in json.loads(open(base + ".json").read())]  # null reads as None, NaN as nan
+    assert len(lam3s) == 6 and all(isinstance(x, float) and math.isfinite(x) for x in lam3s)
+    rows = open(base + ".csv").read().splitlines()[1:]
+    assert [float(row.split(",")[2]) for row in rows] == lam3s  # a nan equals nothing
 
 
 def test_bounds_prints_the_certificate(capsys):

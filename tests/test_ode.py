@@ -56,7 +56,7 @@ def test_appendix_roots_match(appendix_solution, appendix_roots):
     assert len(roots) == 6
     for r, ref in zip(roots, KNOWN_ROOTS):
         assert abs(r.t0 - ref) <= 1e-3
-    assert [r.sgn for r in roots[-2:]] == [1, -1]
+    assert [r.s for r in roots[-2:]] == [1, -1]
     assert appendix_solution.pole_markers == []
 
 
@@ -64,7 +64,7 @@ def test_roots_are_simple_with_unit_slope(appendix_solution, appendix_roots):
     for r in appendix_roots:
         slope = root_slope(appendix_solution, r.t0)
         assert abs(abs(slope) - 1.0) <= 1e-3
-        assert np.sign(slope) == r.sgn
+        assert np.sign(slope) == r.s
         # sign change across the root
         d = 5e-4 * abs(r.t0)
         assert appendix_solution.lam(r.t0 - d) * appendix_solution.lam(r.t0 + d) < 0
@@ -118,8 +118,8 @@ def test_crossing_consistency_of_local_coefficients(appendix_solution, appendix_
         vals = np.array([sol.lam_dot(r.t0 + d) for d in ds])
         coeffs = np.polynomial.polynomial.polyfit(ds, vals, 6)
         c1, c2 = coeffs[0], coeffs[1] / 2
-        assert abs(c1 - r.sgn) <= 1e-6
-        assert abs(c2 - (r.sgn - P.chi0) / (2 * r.t0)) <= 1e-6
+        assert abs(c1 - r.s) <= 1e-6
+        assert abs(c2 - (r.s - P.chi0) / (2 * r.t0)) <= 1e-6
 
 
 def test_least_squares_refuses_steps_and_raises_the_damping():
@@ -173,9 +173,9 @@ def test_crossings_record_the_roots_the_mu_chart_steps_through(appendix_solution
         assert seg.end == "root" != nxt.end and seg.chart == nxt.chart == "mu"
         assert seg.sol.sol(c.t0) == nxt.sol.sol(c.t0)
         lam, lamdot = sol.state(c.t0)
-        assert abs(lam) <= 1e-15 and abs(lamdot - c.sgn) <= 1e-9
+        assert abs(lam) <= 1e-15 and abs(lamdot - c.s) <= 1e-9
         mu = seg.sol.sol(c.t0)[1]
-        assert mu_at_root(RootAnchor(c.t0, SignSwitch(c.sgn), c.lam3), P) == pytest.approx(mu, rel=1e-14, abs=1e-14)
+        assert mu_at_root(c, P) == pytest.approx(mu, rel=1e-14, abs=1e-14)
 
 
 def _failure_time(exc_info, prefix):
@@ -203,6 +203,24 @@ def test_hamiltonian_step_size_underflow_raises(monkeypatch):
     with pytest.raises(IntegrationError) as exc_info:
         integrate_hamiltonian(P, SignSwitch(1), 0.0, 1.0, 0.0, (0.0, 2.0))
     assert abs(_failure_time(exc_info, "Hamiltonian integration failed") - 1.0) < 1e-9
+
+
+def test_a_run_that_ends_where_it_started_raises(monkeypatch):
+    # the kernel counts an event that is exactly 0 at the run's start as a
+    # crossing there and returns a run of zero length; recorded, its empty
+    # segment would break DenseSolution's bisection.  The stub puts such an
+    # event first, where the lam chart's switch into nu sits
+    solve = ode.solve_ivp
+
+    def fires_at_start(fun, span, y0, events, **kwargs):
+        def at_start(t, y):
+            return span[0] - t
+
+        return solve(fun, span, y0, events=[at_start, *events[1:]], **kwargs)
+
+    monkeypatch.setattr(ode, "solve_ivp", fires_at_start)
+    with pytest.raises(IntegrationError, match=r"a lam-chart run ended where it started, at t=0\.8$"):
+        integrate(P, 0.8, 1.0, 0.5, (0.6, 1.3))
 
 
 def test_segment_run_record(monkeypatch, seeded_pole_runs):
@@ -267,9 +285,8 @@ def test_crossings_match_an_independent_root_series(appendix_solution):
     # enough to give 2.1e-10 to 6.9e-10
     sol = appendix_solution
     checked = 0
-    for c in sol.crossings:
-        a = RootAnchor(c.t0, SignSwitch(c.sgn), c.lam3)
-        lam = assemble_lambda(a, taylor_at_root(a, P, 40), P)
+    for c in sol.crossings:  # each a RootAnchor
+        lam = assemble_lambda(c, taylor_at_root(c, P, 40), P)
         for f in (0.02, 0.04, 0.06, 0.08):
             for t in (c.t0 * (1 - f), c.t0 * (1 + f)):
                 if sol.covers(t):
@@ -392,13 +409,13 @@ def test_momentum_dichotomy_near_root(appendix_solution, appendix_roots):
     sol = appendix_solution
     r = appendix_roots[4]
     lam3 = lam3_at_root(sol, r, P)
-    mu0 = (1 + r.sgn * (1 - P.chi0**2) / (2 * r.t0) + 3 * r.t0 * lam3) / 2
+    mu0 = (1 + r.s * (1 - P.chi0**2) / (2 * r.t0) + 3 * r.t0 * lam3) / 2
     dts = np.logspace(-4, -3, 9)
     good, bad = [], []
     for dt in dts:
         lam, lamdot = sol.state(r.t0 + dt)
-        good.append(mu_from_lambda(r.t0 + dt, lam, lamdot, SignSwitch(r.sgn), P))
-        bad.append(mu_from_lambda(r.t0 + dt, lam, lamdot, SignSwitch(-r.sgn), P) * dt**2)
+        good.append(mu_from_lambda(r.t0 + dt, lam, lamdot, SignSwitch(r.s), P))
+        bad.append(mu_from_lambda(r.t0 + dt, lam, lamdot, SignSwitch(-r.s), P) * dt**2)
     assert max(abs(m) for m in good) <= 10 * abs(mu0)
     assert (max(bad) - min(bad)) / abs(np.mean(bad)) <= 0.05
     assert abs(np.mean(bad)) > 1e-6
@@ -649,7 +666,7 @@ def test_lam_turning_back_inside_the_band_leaves_the_mu_chart():
     p = EquationParams(2.621556470340397, 1.0180671591375097)
     args = (2.2639141512428314, -0.2085128481189048, -0.326870560575625)
     sol = integrate(p, *args, (1.5, 2.3))
-    assert [c.sgn for c in sol.crossings] == [1, -1]
+    assert [c.s for c in sol.crossings] == [1, -1]
     assert {seg.chart for seg in sol.segments} == {"mu"}
     (seg,) = [s for s in sol.segments if s.end == "chart_switch"]
     t_s = seg.lo  # the left sweep's turn

@@ -28,8 +28,8 @@ from p3prime import (
     step_mu,
     taylor_at_root,
 )
-from p3prime import _poly
-from p3prime.series import _kernel_lambda_eta, _kernel_mu_eta, _kernel_xi_eta, _require_same_anchor
+from p3prime import _poly, acceptance
+from p3prime.series import _kernel_lambda_eta, _kernel_mu_eta, _kernel_xi_eta, _require_same_anchor, lam3_from_mu
 
 
 def step_lambda_refined(lam_in, mu_in, a, p):
@@ -340,6 +340,12 @@ def test_assemble_lambda_zero_cubic_factor():
 def test_mu_at_root_trivial():
     assert mu_at_root(RootAnchor(2.0, SignSwitch(1), 0.0), EquationParams(1.0, 0.0)) == 0.5
     assert mu_at_root(RootAnchor(1.0, SignSwitch(1), 0.0), EquationParams(0.0, 0.0)) == 0.75
+
+
+def test_lam3_from_mu_inverts_mu_at_root():
+    for a, p in acceptance._draws(acceptance.DEFAULT_SEED):
+        mu = mu_at_root(a, p)
+        assert lam3_from_mu(a.t0, a.s, mu, p) == pytest.approx(a.lam3, rel=1e-13, abs=1e-13)
 
 
 def test_lam6_reference_special_values():
