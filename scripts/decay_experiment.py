@@ -10,11 +10,11 @@ tabulates max_t |d_lam_n(t)|, max_t |d_mu_n(t)| and the certificate bound
 
 import sys
 
-from p3prime import EquationParams, RootAnchor, SignSwitch
+from p3prime import RootAnchor, SignSwitch
+from p3prime.acceptance import REF_LAM3, REF_PARAMS as PARAMS, REF_ROOTS
 from p3prime.bounds import algorithm_increments, convergence_bounds
 
-ANCHOR = RootAnchor(0.511115, SignSwitch(1), -9.01149)
-PARAMS = EquationParams(-0.811597, -0.0550042)
+ANCHOR = RootAnchor(REF_ROOTS[4], SignSwitch(1), REF_LAM3[0])
 
 
 def main() -> int:

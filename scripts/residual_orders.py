@@ -8,15 +8,14 @@ expansions show dt^3 (short form) and dt^5 (order-6 form).
 
 import numpy as np
 
-from p3prime import EquationParams, RootAnchor, SignSwitch
+from p3prime import RootAnchor, SignSwitch
+from p3prime.acceptance import REF_LAM3, REF_PARAMS as PARAMS, REF_ROOTS
 from p3prime.poles import pole_b5_reference, pole_residual_order, root_to_pole
 from p3prime.series import assemble_lambda, residual_order, run_scheme
 
-PARAMS = EquationParams(-0.811597, -0.0550042)
-
 
 def main() -> int:
-    a = RootAnchor(0.511115, SignSwitch(1), -9.01149)
+    a = RootAnchor(REF_ROOTS[4], SignSwitch(1), REF_LAM3[0])
     lam3, _ = run_scheme(a, PARAMS, 5)
     grid = [a.t0 * x for x in np.logspace(-3, -1, 25)]
     print("root expansion:")

@@ -11,6 +11,7 @@ flags, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -258,11 +259,7 @@ def _symmetry(args) -> int:
 
 def _bounds(args) -> int:
     bs = convergence_bounds(args.anchor, args.params, args.alpha)
-    obj = {k: getattr(bs, k) for k in (
-        "M_lambda", "M_mu", "B_mu_lambda", "B_mu_mu", "B_xi_lambda", "B_xi_mu",
-        "Q1", "Q2", "beta", "alpha", "alpha_tilde",
-    )}
-    print(json.dumps(obj, indent=2))
+    print(json.dumps(dataclasses.asdict(bs), indent=2))
     return 0
 
 

@@ -67,6 +67,8 @@ class RootAnchor:
             object.__setattr__(self, "sgn", SignSwitch(self.sgn))
         if self.t0 == 0 or not math.isfinite(self.t0):
             raise InvalidParametersError("root location t0 must be nonzero and finite")
+        if not math.isfinite(self.lam3):
+            raise InvalidParametersError("cubic coefficient lam3 must be finite")
 
     @property
     def s(self) -> int:

@@ -21,8 +21,11 @@ factor-16 hysteresis).  A Hamiltonian run moves to the chart of -sg, its
 momentum recomputed from (v, v'), when sg*v' falls through zero: v has
 turned back toward a root of the other slope, at which this momentum has a
 double pole.  sg flips there; it is not recomputed from v', which is zero
-up to rounding.  Each solver run stays in one chart, and its segment's
-interpolant maps back to (lam, lam').
+up to rounding.  Each solver run stays in one chart, whose table gives
+each terminal event why the run ends there and the chart of the next run.
+A Hamiltonian run reads v' = field(t, y)[0] off its own Hamilton field, in
+its turn event, its hand-over state and its segment's interpolant, which
+maps back to (lam, lam').
 
 A mu run stops where s0*lam falls through zero, so the event search places
 the root t0 on the run's interpolant, and records the root as the
@@ -105,8 +108,10 @@ class Segment:
     sol: DenseOutput | _LamFrom  # sol(t) -> [lam, lam'] over the run, in any chart
     steps: int  # accepted steps
     rhs_calls: int  # right-hand-side calls during integrate: rejected steps and dense-output stages included
-    # "span_end", "root" (lam fell through zero), "pole_cap" (|lam| reached
-    # the cap) or "chart_switch" (the next run steps another chart)
+    # "span_end", or the entry of the chart's event table whose event fired:
+    # "root" (lam fell through zero), "pole_cap" (|lam| reached the cap) or
+    # "chart_switch" (the next run steps another chart, or after a turn the
+    # same chart of the other switch)
     end: str
     # what the run stepped: "lam" on the scalar equation, or on the Hamilton
     # field of the slope-matching switch "mu" = (lam, mu) or "nu" = (g, nu)
@@ -114,30 +119,11 @@ class Segment:
     chart: str = "lam"
 
 
-# per chart, for the index of the terminal event that fired: why the segment
-# ended and the chart of the next run
-_EVENT_ENDS = {
-    "lam": (("chart_switch", "nu"), ("chart_switch", "mu")),
-    "mu": (("root", "mu"), ("chart_switch", "lam"), ("chart_switch", "mu")),
-    "nu": (("pole_cap", None), ("chart_switch", "lam"), ("chart_switch", "nu")),
-}
-
-
 def _reciprocal(t, y):
     """(v, v') -> (t/v, (v - t v')/v^2): the state in the other chart; the
     map is its own inverse."""
     v, vdot = y
     return [t / v, (v - t * vdot) / (v * v)]
-
-
-def _lam_on(hamilton):
-    """(v, momentum) -> (v, v'), with v' from the Hamilton field: (lam, mu)
-    -> (lam, lam') in the mu chart, (g, nu) -> (g, g') in the nu chart."""
-
-    def to_lam(t, y):
-        return [y[0], hamilton(t, y)[0]]
-
-    return to_lam
 
 
 def _band_event(s0, level, direction):
@@ -150,12 +136,12 @@ def _band_event(s0, level, direction):
     return event
 
 
-def _turn_event(own, sg):
-    """Terminal event sg*v' falling through zero, with (v, v') from a
-    Hamiltonian chart's ``own``: v turns back toward a root of slope -sg."""
+def _turn_event(field, sg):
+    """Terminal event sg*v' falling through zero, with v' = field(t, y)[0]
+    from a Hamiltonian chart's field: v turns back toward a root of slope -sg."""
 
     def event(t, y):
-        return sg * own(t, y)[1]
+        return sg * field(t, y)[0]
 
     event.direction = -1
     return event
@@ -163,50 +149,57 @@ def _turn_event(own, sg):
 
 class _LamFrom:
     """A mu- or nu-chart run's dense output read as (lam, lam'): the chart's
-    (v, v') from ``own(t, y)``, then for v = g the reciprocal map."""
+    (v, v'), with v' = field(t, y)[0] from its Hamilton field, then for
+    v = g the reciprocal map."""
 
-    def __init__(self, sol: DenseOutput, own, reciprocal: bool):
+    def __init__(self, sol: DenseOutput, field, reciprocal: bool):
         self.sol = sol
-        self.own = own
+        self.field = field
         self.reciprocal = reciprocal
         self.ts = sol.ts
 
     def __call__(self, t):
-        y = self.own(t, self.sol(t))
+        y = self.sol(t)
+        y = [y[0], self.field(t, y)[0]]
         return _reciprocal(t, y) if self.reciprocal else y
 
 
 @dataclass
 class DenseSolution:
     """Piecewise dense P-III' solution: the solver segments, sorted by
-    ``lo`` and meeting only at their edges, and the roots crossed there.
+    ``lo`` at construction, which tile [t_min, t_max] and meet only at their
+    edges, and the roots crossed there, sorted by ``t0``.
 
     A lookup at t is answered by the first segment (by ``lo``) whose
-    [lo, hi] holds t, else by the nearest segment if t lies within 1e-9
-    (relative) of its edge; otherwise it raises DomainError.  The segments'
-    ``hi`` are sorted like their ``lo``, so the first rule bisects them.
+    [lo, hi] holds t, else by the outer segment at t_min or t_max if t lies
+    within 1e-9 (relative) beyond it; otherwise it raises DomainError.  The
+    segments' ``hi`` are sorted like their ``lo``, so the first rule bisects
+    them.
     """
 
     params: EquationParams
     rel_tol: float
     abs_tol: float
-    segments: list = field(default_factory=list)  # Segment records
-    crossings: list = field(default_factory=list)  # RootAnchor (t0, sgn, lam3) of each root crossed
-    pole_markers: list = field(default_factory=list)  # (t, side) where |lam| hit the cap
-    _his: list = field(default_factory=list, init=False, repr=False, compare=False)  # the segments' hi, bisected
+    segments: list  # Segment records, at least one
+    crossings: list  # RootAnchor (t0, sgn, lam3) of each root crossed
+    pole_markers: list  # (t, side) where |lam| hit the cap
+    _his: list = field(init=False, repr=False, compare=False)  # the segments' hi, bisected
+
+    def __post_init__(self):
+        self.segments.sort(key=lambda seg: seg.lo)
+        self.crossings.sort(key=lambda c: c.t0)
+        self._his = [seg.hi for seg in self.segments]
 
     @property
     def t_min(self) -> float:
-        return min(seg.lo for seg in self.segments)
+        return self.segments[0].lo
 
     @property
     def t_max(self) -> float:
-        return max(seg.hi for seg in self.segments)
+        return self.segments[-1].hi
 
     def _lookup(self, t: float):
         """The interpolant of the first segment that holds t, or None."""
-        if len(self._his) != len(self.segments):
-            self._his = [seg.hi for seg in self.segments]
         i = bisect_left(self._his, t)
         if i < len(self._his) and self.segments[i].lo <= t:
             return self.segments[i].sol
@@ -219,13 +212,10 @@ class DenseSolution:
         obj = self._lookup(t)
         if obj is not None:
             return obj
-        best = None
-        for seg in self.segments:
-            gap = min(abs(t - seg.lo), abs(t - seg.hi))
-            if best is None or gap < best[0]:
-                best = (gap, seg.sol)
-        if best is not None and best[0] < 1e-9 * max(1.0, abs(t)):
-            return best[1]
+        # the segments tile [t_min, t_max], so the nearest to an uncovered t is an outer one
+        seg, gap = (self.segments[0], self.t_min - t) if t < self.t_min else (self.segments[-1], t - self.t_max)
+        if gap < 1e-9 * max(1.0, abs(t)):
+            return seg.sol
         raise DomainError(f"t={t} outside the computed span")
 
     def state(self, t: float) -> tuple[float, float]:
@@ -324,6 +314,8 @@ def integrate(
     the chart (lam, mu) and a pole cap approached in the chart (g, nu) of
     g = t/lam; integrates in both directions from t_init."""
     lo, hi = min(span), max(span)
+    if lo == hi:
+        raise DomainError("span must have positive length")
     if not (lo <= t_init <= hi):
         raise DomainError("t_init must lie inside span")
     if lo <= 0.0 <= hi:
@@ -332,8 +324,11 @@ def integrate(
         raise DomainError("initial lambda must be nonzero: the equation is indeterminate at a root")
     if not abs(lam0) < _POLE_CAP:
         raise DomainError("initial lambda must lie below the pole cap |lam| < 1e6")
+    # a NaN tolerance made the initial step NaN, which no step-size bound replaces
+    if not (0 < rel_tol < math.inf and 0 < abs_tol < math.inf):
+        raise DomainError("rel_tol and abs_tol must be finite and positive")
 
-    sol = DenseSolution(params=p, rel_tol=rel_tol, abs_tol=abs_tol)
+    segments, crossings, pole_markers = [], [], []
 
     def rhs(t, y):
         lam, lamdot = y
@@ -364,49 +359,52 @@ def integrate(
                 elif abs(y_v[0]) <= _MU_ENTER * abs(t_cur):
                     chart = "mu"
             if chart == "lam":
-                fun, y_cur, own = rhs, y_v, None
+                fun, y_cur = rhs, y_v
             else:
                 if sg is None:  # sign(v'), or where v' = 0 that of direction * v'': no turn at the start
                     sg = 1 if (y_v[1] or direction * rhs_scalar(t_cur, *y_v, params[chart])) > 0 else -1
                 fun = fields[chart, sg]
-                own = _lam_on(fun)
                 y_cur = y_ham or [y_v[0], mu_from_lambda(t_cur, *y_v, SignSwitch(sg), params[chart])]
             # past a root lam starts at zero and takes the sign sg*direction
             s0 = sg * direction if y_ham else math.copysign(1.0, y_cur[0])
-            # the band events fall through zero at their threshold (lam: the
-            # mu chart's entry; mu: the root; nu: the pole cap) and stay
-            # negative past it, so a step that jumps the threshold still
+            # per terminal event: (event, why the run ends, chart of the next
+            # run).  The band events fall through zero at their threshold
+            # (lam: the mu chart's entry; mu: the root; nu: the pole cap) and
+            # stay negative past it, so a step that jumps the threshold still
             # fires them and the event search finds that point
             if chart == "lam":
-                events = [ev_switch, _band_event(s0, _MU_ENTER, -1)]
+                table = [(ev_switch, "chart_switch", "nu"), (_band_event(s0, _MU_ENTER, -1), "chart_switch", "mu")]
             elif chart == "mu":
-                events = [_band_event(s0, 0.0, -1), _band_event(s0, _MU_LEAVE, 1), _turn_event(own, sg)]
+                table = [(_band_event(s0, 0.0, -1), "root", "mu"),
+                         (_band_event(s0, _MU_LEAVE, 1), "chart_switch", "lam")]
             else:
-                events = [_band_event(s0, 1 / _POLE_CAP, -1), ev_switch, _turn_event(own, sg)]
+                table = [(_band_event(s0, 1 / _POLE_CAP, -1), "pole_cap", None),
+                         (ev_switch, "chart_switch", "lam")]
+            if chart != "lam":  # a turn: the next run steps the same chart, of the other switch
+                table.append((_turn_event(fun, sg), "chart_switch", chart))
+            events = [ev for ev, _, _ in table]
             res = solve_ivp(fun, (t_cur, t_end), y_cur, rtol=rel_tol, atol=abs_tol, events=events)
             if res.status == -1:
                 raise IntegrationError(f"integration failed near t={res.t[-1]}: {res.message}")
-            seg = res.sol if own is None else _LamFrom(res.sol, own, chart == "nu")
             if res.status == 0:  # reached t_end
-                (end, nxt), t_s = ("span_end", None), res.t[-1]
+                end, nxt, t_s = "span_end", None, res.t[-1]
             else:
                 k = next(i for i, te in enumerate(res.t_events) if te)
-                (end, nxt), t_s = _EVENT_ENDS[chart][k], float(res.t_events[k][0])
+                (_, end, nxt), t_s = table[k], float(res.t_events[k][0])
             if t_s == t_cur:  # an empty segment would break DenseSolution's bisection
                 raise IntegrationError(f"a {chart}-chart run ended where it started, at t={t_cur}")
-            sol.segments.append(
-                Segment(min(t_cur, t_s), max(t_cur, t_s), seg, len(res.t) - 1, res.nfev, end, chart)
-            )
+            seg = res.sol if chart == "lam" else _LamFrom(res.sol, fun, chart == "nu")
+            segments.append(Segment(min(t_cur, t_s), max(t_cur, t_s), seg, len(res.t) - 1, res.nfev, end, chart))
             if end == "span_end":
                 return
             if end == "pole_cap":
-                sol.pole_markers.append((t_s, "right" if direction > 0 else "left"))
+                pole_markers.append((t_s, "right" if direction > 0 else "left"))
                 return
             y_end = res.sol.ys[-1]
-            t_cur, y_v, y_ham = t_s, y_end if own is None else own(t_s, y_end), None
+            t_cur, y_v, y_ham = t_s, y_end if chart == "lam" else [y_end[0], fun(t_s, y_end)[0]], None
             if end == "root":
                 y_ham = y_end  # (lam, mu) at the root: mu is regular there
-                sol.crossings.append(RootAnchor(t_s, sg, lam3_from_mu(t_s, sg, y_ham[1], p)))
+                crossings.append(RootAnchor(t_s, sg, lam3_from_mu(t_s, sg, y_ham[1], p)))
             elif nxt == chart:
                 sg = -sg  # the variable turned back toward a root of the other slope
             else:
@@ -419,8 +417,7 @@ def integrate(
         sweep(t_init, (lam0, lamdot0), hi)
     if lo < t_init:
         sweep(t_init, (lam0, lamdot0), lo)
-    sol.segments.sort(key=lambda seg: seg.lo)
-    sol.crossings.sort(key=lambda c: c.t0)
+    sol = DenseSolution(p, rel_tol, abs_tol, segments, crossings, pole_markers)
     log = _debug_log()
     if log is not None:
         for seg in sol.segments:

@@ -328,6 +328,44 @@ def test_computation_failure_exit_1(tmp_path, capsys):
     assert not os.path.exists(base + ".csv")
 
 
+def _cli_env():
+    """The environment with this package's source first on PYTHONPATH, for a
+    CLI run in a fresh interpreter."""
+    src = str(Path(p3prime.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+@pytest.mark.parametrize("flag, value", [("--rel-tol", "nan"), ("--abs-tol", "nan"), ("--abs-tol", "0"), ("--abs-tol", "inf")])
+def test_tolerance_not_finite_and_positive_exits_1(flag, value, tmp_path):
+    # in a fresh interpreter with a timeout, because a NaN tolerance used to
+    # hang the run; 0 ended in a ZeroDivisionError traceback and inf wrote
+    # an unchecked curve
+    args = ["integrate", *PARAMS, "--cauchy", "1:0.5:0", "--span", "0.5:2", flag, value, "--out", str(tmp_path / "tol")]
+    proc = subprocess.run([sys.executable, "-m", "p3prime.cli", *args], capture_output=True, text=True,
+                          env=_cli_env(), timeout=60)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.splitlines() == ["error: rel_tol and abs_tol must be finite and positive"]
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["integrate", "find-roots"])
+def test_empty_span_exits_1(command, tmp_path, capsys):
+    # integrate used to end in a traceback and find-roots to print []
+    assert run([command, *PARAMS, "--cauchy", "1:0.5:0", "--span", "1:1", "--out", str(tmp_path / "empty")]) == 1
+    assert capsys.readouterr() == ("", "error: span must have positive length\n")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, lam3", [("expand-root", "nan"), ("expand-pole", "inf"), ("bounds", "nan")])
+def test_non_finite_lam3_exits_2_and_writes_nothing(command, lam3, tmp_path, capsys):
+    # the expansions used to write NaN or Infinity tokens, which are not
+    # JSON, and bounds ended in a LinAlgError traceback
+    args = [command, *PARAMS, "--t0", "0.5", "--sgn", "1", "--lam3", lam3, "--out", str(tmp_path / "x")]
+    assert run(args) == 2
+    assert capsys.readouterr() == ("", "error: cubic coefficient lam3 must be finite\n")
+    assert not list(tmp_path.iterdir())
+
+
 def test_debug_log_leaves_integrate_files_unchanged(tmp_path, caplog):
     common = ["--chi0", "-0.811597", "--chiinf", "-0.0550042", "--cauchy", "0.8:1.0:0.5", "--span", "0.6:1.3"]
     assert run(["integrate", *common, "--out", str(tmp_path / "quiet")]) == 0
@@ -351,11 +389,9 @@ def test_roots_csv_format(tmp_path):
 
 def test_cli_import_loads_no_scipy():
     # the RK kernel and brentq are pure Python
-    src = str(Path(p3prime.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-c", "import p3prime.cli"],
-        capture_output=True, text=True, env=env, check=True,
+        capture_output=True, text=True, env=_cli_env(), check=True,
     )
     modules = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
     assert "p3prime.cli" in modules

@@ -1,5 +1,6 @@
 """Pointwise equation forms: exact-rational oracles and trivial identities."""
 
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -289,6 +290,12 @@ def test_sign_switch_enforced(sgn):
 def test_root_anchor_rejects_zero_location():
     with pytest.raises(InvalidParametersError):
         RootAnchor(0.0, SignSwitch(1), 1.0)
+
+
+@pytest.mark.parametrize("lam3", [math.nan, math.inf, -math.inf])
+def test_root_anchor_rejects_a_non_finite_cubic_coefficient(lam3):
+    with pytest.raises(InvalidParametersError, match="lam3 must be finite"):
+        RootAnchor(0.5, SignSwitch(1), lam3)
 
 
 def test_convert_trivial_values():

@@ -49,6 +49,20 @@ def test_input_validation():
     # beyond the pole cap the nu chart's cap event could not fire
     with pytest.raises(DomainError, match="pole cap"):
         integrate(P, 1.0, -2e6, 1.0, (0.5, 2.0))
+    # an empty span left no segment to read t_min from
+    with pytest.raises(DomainError, match="span must have positive length"):
+        integrate(P, 1.0, 0.5, 0.0, (1.0, 1.0))
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
+@pytest.mark.parametrize("name", ["rel_tol", "abs_tol"])
+def test_tolerances_must_be_finite_and_positive(monkeypatch, name, tol):
+    # a NaN tolerance made the first step size NaN and the kernel loop
+    # forever, 0 divided by zero and inf took any step; the stub turns a
+    # check that no longer runs before the stepping into a failure, not a hang
+    monkeypatch.setattr(ode, "solve_ivp", lambda *args, **kwargs: pytest.fail("stepped with a bad tolerance"))
+    with pytest.raises(DomainError, match="rel_tol and abs_tol must be finite and positive"):
+        integrate(P, 1.0, 0.5, 0.0, (0.5, 2.0), **{name: tol})
 
 
 def test_appendix_roots_match(appendix_solution, appendix_roots):
@@ -449,14 +463,21 @@ def test_symmetry_rejects_grid_on_zero(appendix_solution, appendix_roots):
         symmetry_check(appendix_solution, P, [appendix_roots[4].t0])
 
 
-def _pole_capped_solution(span=(0.55, 0.75)):
-    """A run launched just left of the simple pole at 0.7, over span."""
+def _pole_capped_launch():
+    """The anchor whose pole expansion gives the simple pole at 0.7, and the
+    Cauchy data (t, lam, lam') it gives 0.05 t0 left of the pole."""
     from p3prime.poles import root_to_pole
 
     a = RootAnchor(0.7, SignSwitch(1), 1.5)
     le = root_to_pole(a, P, 6)
     dt0 = -0.05 * a.t0
-    return a, integrate(P, a.t0 + dt0, le.eval(dt0), le.eval_derivative(dt0), span)
+    return a, (a.t0 + dt0, le.eval(dt0), le.eval_derivative(dt0))
+
+
+def _pole_capped_solution(span=(0.55, 0.75)):
+    """A run launched just left of the simple pole at 0.7, over span."""
+    a, args = _pole_capped_launch()
+    return a, integrate(P, *args, span)
 
 
 def test_pole_marker_on_blowup():
@@ -770,6 +791,81 @@ def test_chart_switch_edges_are_continuous(seeded_pole_runs, appendix_solution):
             assert abs(v) == pytest.approx(levels[seg.chart, nxt.chart] * t_s, rel=1e-9)
         elif seg.chart != nxt.chart:
             assert v * v == pytest.approx(4 * t_s, rel=1e-9)
+
+
+def _launch_chart(t, lam):
+    """The chart a start in the lam chart at (t, lam) steps: nu on or beyond
+    lam^2 = 4|t|, mu on or inside |lam| = 0.3|t|, else lam."""
+    if lam * lam >= 4 * abs(t):
+        return "nu"
+    return "mu" if abs(lam) <= 0.3 * abs(t) else "lam"
+
+
+def _transition_launches():
+    """(params, Cauchy data, span) of 40 launches: the worked example, the
+    wide capped launch and 38 draws over SEEDED_SPAN with t_init in
+    U(0.2, 3), every other one in the g chart (g0 = t/lam0 with
+    g0^2 < t/4, g0' in U(-10, 10)), whose runs can hand back past |t| = 2.78."""
+    out = [(acceptance.REF_PARAMS, acceptance.REF_CAUCHY, acceptance.REF_SPAN), (P, _pole_capped_launch()[1], (0.1, 0.75))]
+    rng = np.random.default_rng(1)
+    while len(out) < 40:
+        chi0, chi_inf, t_init, lam0, lamdot0 = rng.uniform([-1.5, -1.5, 0.2, 0.2, -1.5], [1.5, 1.5, 3.0, 1.5, 1.5])
+        t_init, lam0, lamdot0 = float(t_init), float(rng.choice([-1.0, 1.0]) * lam0), float(lamdot0)
+        if len(out) % 2:
+            g0, g0dot = lam0 / 3 * t_init**0.5, lamdot0 * 20 / 3
+            lam0, lamdot0 = t_init / g0, (g0 - t_init * g0dot) / g0**2
+        out.append((EquationParams(float(chi0), float(chi_inf)), (t_init, lam0, lamdot0), SEEDED_SPAN))
+    return out
+
+
+def test_each_sweep_steps_its_charts_by_the_transition_rules():
+    # each sweep's segments, walked outward from the launch, in the order
+    # they were stepped: the first in the launch rule's chart, each starting
+    # where the one before ended, and only the last ending on span_end or a
+    # pole cap.  A root ends one mu run and starts the next; a Hamiltonian
+    # run that leaves with its variable v at the leave level (|lam| = 0.6|t|
+    # in mu, g^2 = 4|t| in nu) hands back, and the next run steps the chart
+    # the launch rule picks there: lam, but mu past |t| = 2.78 after nu,
+    # where lam^2 = |t|/4 lies inside the mu band.  Any other Hamiltonian
+    # run that leaves is a turn, v' = 0, and the next run steps the same chart
+    seen = set()
+    for p, (t_init, lam0, lamdot0), span in _transition_launches():
+        sol = integrate(p, t_init, lam0, lamdot0, span)
+        right = [s for s in sol.segments if s.lo >= t_init]
+        left = [s for s in reversed(sol.segments) if s.hi <= t_init]
+        assert len(right) + len(left) == len(sol.segments)
+        for sweep, direction in ((right, 1), (left, -1)):
+            if sweep:
+                assert sweep[0].chart == _launch_chart(t_init, lam0)
+            edge = t_init  # where the next run starts: the launch, then where the run before ended
+            for seg, nxt in zip(sweep, sweep[1:] + [None]):
+                start, t_s = (seg.lo, seg.hi) if direction > 0 else (seg.hi, seg.lo)
+                assert start == edge
+                edge = t_s
+                assert (seg.end in ("span_end", "pole_cap")) == (nxt is None)
+                if nxt is None:
+                    seen.add(seg.end)
+                    assert seg.end == "pole_cap" or t_s == span[direction > 0]
+                    continue
+                lam, lamdot = seg.sol(t_s)
+                v, vdot = (lam, lamdot) if seg.chart != "nu" else ode._reciprocal(t_s, (lam, lamdot))
+                if seg.end == "root":
+                    kind, expected = "root", "mu"
+                    assert seg.chart == "mu"
+                elif seg.chart == "lam":
+                    kind, expected = "switch", nxt.chart
+                    assert nxt.chart in ("mu", "nu")
+                elif abs(v) == pytest.approx(0.6 * t_s if seg.chart == "mu" else 2 * t_s**0.5, rel=1e-9):
+                    kind, expected = "hand-back", _launch_chart(t_s, lam)
+                else:
+                    kind, expected = "turn", seg.chart
+                    assert abs(vdot) < 1e-12
+                assert nxt.chart == expected
+                seen.add((kind, seg.chart, nxt.chart))
+    assert seen >= {
+        "span_end", "pole_cap", ("root", "mu", "mu"), ("turn", "mu", "mu"), ("turn", "nu", "nu"),
+        ("hand-back", "mu", "lam"), ("hand-back", "nu", "lam"), ("hand-back", "nu", "mu"),
+    }
 
 
 def test_launch_beyond_the_chart_threshold_starts_in_nu():
