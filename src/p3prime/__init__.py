@@ -31,7 +31,6 @@ from .series import (
     step_mu,
     taylor_at_root,
 )
-from .bounds import BoundSet, IncrementReport, algorithm_increments, convergence_bounds
 from .poles import (
     LaurentExpansion,
     pole_b5_reference,

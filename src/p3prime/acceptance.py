@@ -1,7 +1,8 @@
 """The acceptance suite: nine measurable criteria with pinned tolerances.
 
 Each criterion is a function returning a CriterionResult; ``run_all`` runs
-them in order.  The reference configuration is the worked example: equation
+them in order.  The reference configuration is the worked example
+(``worked_example``, whose constants this module re-exports): equation
 constants (-0.811597, -0.0550042), Cauchy data (0.833651, 0.288298,
 0.374531), integration span (0.01, 2), six roots, and the two anchored
 expansions at the largest roots.
@@ -31,14 +32,7 @@ from .equation import (
 from .ode import compare_series, integrate, integrate_hamiltonian, root_slope, symmetry_check
 from .poles import pole_b5_reference, pole_residual_order, root_to_pole
 from .series import assemble_lambda, lam6_reference, mu_at_root, residual_order, run_scheme, series_eval
-
-DEFAULT_SEED = 1729
-
-REF_PARAMS = EquationParams(-0.811597, -0.0550042)
-REF_CAUCHY = (0.833651, 0.288298, 0.374531)
-REF_SPAN = (0.01, 2.0)
-REF_ROOTS = (0.0159082, 0.0427774, 0.0901638, 0.242530, 0.511115, 1.38175)
-REF_LAM3 = (-9.01149, 1.24246)  # at the two largest roots, sgn = +1 / -1
+from .worked_example import DEFAULT_SEED, REF_CAUCHY, REF_LAM3, REF_PARAMS, REF_ROOTS, REF_SPAN
 
 
 @dataclass(frozen=True)

@@ -14,17 +14,19 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 
-import numpy as np
-
-from . import acceptance, io
-from .bounds import convergence_bounds
+from . import io
 from .equation import DomainError, EquationParams, InvalidParametersError, RootAnchor, SignSwitch, third_derivative
-from .ode import IntegrationError, find_roots, integrate, residual_scan, symmetry_check
+from .ode import IntegrationError, find_roots, integrate, linspace, residual_scan, symmetry_check
 from .poles import root_to_pole
 from .series import assemble_lambda, run_scheme, series_eval, series_eval_derivative
+from .worked_example import DEFAULT_SEED, REF_CAUCHY, REF_PARAMS, REF_SPAN
+
+# numpy is loaded only by verify (through acceptance) and bounds, each of
+# which imports its module when it runs
 
 log = logging.getLogger("p3prime")
 
@@ -69,7 +71,7 @@ def _build_parser(**kwargs) -> argparse.ArgumentParser:
     ap.add_argument("--rel-tol", type=float, default=1e-10)
     ap.add_argument("--abs-tol", type=float, default=1e-12)
     ap.add_argument("--alpha", type=float, default=0.5)
-    ap.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
+    ap.add_argument("--seed", type=int, default=DEFAULT_SEED)
     ap.add_argument("--out", type=str, default="p3prime_out")
     ap.add_argument("--format", dest="fmt", choices=("csv", "json"), default="json")
     return ap
@@ -170,8 +172,8 @@ def _solve(args):
 
 
 def _off_roots(lo: float, hi: float, n: int, roots, gap: float) -> list:
-    """``np.linspace(lo, hi, n)`` less the points within ``gap`` of a root."""
-    return [t for t in np.linspace(lo, hi, n) if all(abs(t - r.t0) > gap for r in roots)]
+    """``linspace(lo, hi, n)`` less the points within ``gap`` of a root."""
+    return [t for t in linspace(lo, hi, n) if all(abs(t - r.t0) > gap for r in roots)]
 
 
 def _expand_root(args) -> int:
@@ -181,7 +183,7 @@ def _expand_root(args) -> int:
     lam = assemble_lambda(a, lam3s, p)
     with open(args.out + ".json", "w", encoding="utf-8") as fh:
         fh.write(io.series_to_json(lam3s, p))
-    dts = np.linspace(-0.3 * abs(a.t0), 0.3 * abs(a.t0), 601)
+    dts = linspace(-0.3 * abs(a.t0), 0.3 * abs(a.t0), 601)
     io.write_csv(
         args.out + ".csv",
         ["t", "lambda"],
@@ -197,8 +199,8 @@ def _expand_pole(args) -> int:
     le = root_to_pole(a, p, args.order)
     with open(args.out + ".json", "w", encoding="utf-8") as fh:
         fh.write(io.laurent_to_json(le, p, a.s, a.lam3))
-    mags = np.linspace(0.02 * abs(a.t0), 0.3 * abs(a.t0), 300)
-    dts = np.concatenate([-mags[::-1], mags])
+    mags = linspace(0.02 * abs(a.t0), 0.3 * abs(a.t0), 300)
+    dts = [-m for m in reversed(mags)] + mags
     io.write_csv(
         args.out + ".csv",
         ["t", "lambda"],
@@ -210,7 +212,7 @@ def _expand_pole(args) -> int:
 
 def _integrate(args) -> int:
     sol = _solve(args)
-    grid = np.linspace(sol.t_min, sol.t_max, 2001)
+    grid = linspace(sol.t_min, sol.t_max, 2001)
     io.dense_solution_to_csv(sol, grid, args.out + ".csv")
     log.info("wrote %s.csv", args.out)
     return 0
@@ -250,20 +252,24 @@ def _symmetry(args) -> int:
     # t/lam has a pole at every root of lam, where the swapped run stops,
     # so keep the stretch between the two roots around the middle point
     mid = grid[len(grid) // 2]
-    left = max((r.t0 for r in roots if r.t0 < mid), default=-np.inf)
-    right = min((r.t0 for r in roots if r.t0 > mid), default=np.inf)
+    left = max((r.t0 for r in roots if r.t0 < mid), default=-math.inf)
+    right = min((r.t0 for r in roots if r.t0 > mid), default=math.inf)
     dev = symmetry_check(sol, args.params, [t for t in grid if left < t < right])
     print(f"max |t/lambda - lambda_swapped| = {dev:.3e}")
     return 0
 
 
 def _bounds(args) -> int:
+    from .bounds import convergence_bounds
+
     bs = convergence_bounds(args.anchor, args.params, args.alpha)
     print(json.dumps(dataclasses.asdict(bs), indent=2))
     return 0
 
 
 def _verify(args) -> int:
+    from . import acceptance
+
     results = acceptance.run_all(args.seed)
     for r in results:
         print(r.line())
@@ -278,35 +284,35 @@ def _reproduce_appendix(args) -> int:
     derivative curve, overlap curves, and the root/lam3 table."""
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
-    p = acceptance.REF_PARAMS
-    t_c, lam_c, lamdot_c = acceptance.REF_CAUCHY
-    sol = integrate(p, t_c, lam_c, lamdot_c, acceptance.REF_SPAN, args.rel_tol, args.abs_tol)
+    p = REF_PARAMS
+    t_c, lam_c, lamdot_c = REF_CAUCHY
+    sol = integrate(p, t_c, lam_c, lamdot_c, REF_SPAN, args.rel_tol, args.abs_tol)
     roots = find_roots(sol)
 
-    grid = np.linspace(sol.t_min, sol.t_max, 4001)
+    grid = linspace(sol.t_min, sol.t_max, 4001)
     io.write_csv(
-        os.path.join(outdir, "fig1.csv"), ["t", "lambda"], ((t, sol.lam(float(t))) for t in grid)
+        os.path.join(outdir, "fig1.csv"), ["t", "lambda"], ((t, sol.lam(t)) for t in grid)
     )
 
     rows = residual_scan(sol, _off_roots(0.02, 1.99, 801, roots, 0.01), fd_step=0.002)
     io.write_csv(os.path.join(outdir, "fig2.csv"), ["t", "residual"], rows)
 
-    tgrid = [t for t in np.linspace(0.3, 1.9, 801) if abs(sol.lam(float(t))) > 1e-3]
+    tgrid = [t for t in linspace(0.3, 1.9, 801) if abs(sol.lam(t)) > 1e-3]
     io.write_csv(
         os.path.join(outdir, "fig3.csv"),
         ["t", "lambda_dddot"],
-        ((t, third_derivative(float(t), *sol.state(float(t)), p)) for t in tgrid),
+        ((t, third_derivative(t, *sol.state(t), p)) for t in tgrid),
     )
 
     a1, a2 = roots[4], roots[5]
     s1 = assemble_lambda(a1, run_scheme(a1, p, 5)[0], p)
     s2 = assemble_lambda(a2, run_scheme(a2, p, 5)[0], p)
-    ogrid = np.linspace(0.4, 1.6, 1201)
+    ogrid = linspace(0.4, 1.6, 1201)
     io.write_csv(
         os.path.join(outdir, "fig4.csv"),
         ["t", "series_at_root5", "series_at_root6", "solution"],
         (
-            (t, series_eval(s1, t - a1.t0), series_eval(s2, t - a2.t0), sol.lam(float(t)))
+            (t, series_eval(s1, t - a1.t0), series_eval(s2, t - a2.t0), sol.lam(t))
             for t in ogrid
         ),
     )

@@ -40,9 +40,10 @@ side and leaves a pole marker.
 
 The stepping runs on ``_rk.solve_ivp``, scipy's DOP853 (order 8, with a
 7th-order dense output formed lazily) ported to Python floats, so the
-module needs no scipy at run time.  Each solver segment keeps its step
-count, its right-hand-side calls and why it ended; ``integrate`` logs them,
-and each root crossed, one line each at DEBUG (``P3_LOG=debug``).
+module needs no scipy at run time, and numpy only in ``lam3_at_root``'s
+fit.  Each solver segment keeps its step count, its right-hand-side calls
+and why it ended; ``integrate`` logs them, and each root crossed, one line
+each at DEBUG (``P3_LOG=debug``).
 """
 
 from __future__ import annotations
@@ -52,8 +53,6 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import mul
-
-import numpy as np
 
 # brentq is not called here; it stays because bench/tracer.py wraps ode.brentq by name, as it wraps least_squares
 from ._rk import EPS, DenseOutput, brentq, solve_ivp
@@ -97,6 +96,24 @@ def _debug_log():
 
 class IntegrationError(RuntimeError):
     """The integrator failed; the message carries the location."""
+
+
+def linspace(a: float, b: float, n: int) -> list[float]:
+    """n >= 2 evenly spaced floats from a to b, both ends included:
+    ``np.linspace(a, b, n).tolist()`` bit for bit, without numpy.  Like
+    numpy it takes a + i*step and then sets the last point to b, and where
+    the step underflows to zero it scales (b - a) by i/(n - 1) instead."""
+    delta = b - a
+    step = delta / (n - 1)
+    if step == 0:
+        return [a + i / (n - 1) * delta for i in range(n - 1)] + [b]
+    return [a + i * step for i in range(n - 1)] + [b]
+
+
+def _check_tolerances(rel_tol: float, abs_tol: float) -> None:
+    # a NaN tolerance made the initial step NaN, which no step-size bound replaces
+    if not (0 < rel_tol < math.inf and 0 < abs_tol < math.inf):
+        raise DomainError("rel_tol and abs_tol must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -324,9 +341,7 @@ def integrate(
         raise DomainError("initial lambda must be nonzero: the equation is indeterminate at a root")
     if not abs(lam0) < _POLE_CAP:
         raise DomainError("initial lambda must lie below the pole cap |lam| < 1e6")
-    # a NaN tolerance made the initial step NaN, which no step-size bound replaces
-    if not (0 < rel_tol < math.inf and 0 < abs_tol < math.inf):
-        raise DomainError("rel_tol and abs_tol must be finite and positive")
+    _check_tolerances(rel_tol, abs_tol)
 
     segments, crossings, pole_markers = [], [], []
 
@@ -445,7 +460,9 @@ def integrate_hamiltonian(
     matching-sign roots), on the same ``hamilton_field`` as the mu chart of ``integrate``.
     Returns the kernel's result: ``.sol(t)`` gives (lam, mu) and
     ``.t`` the accepted steps.  Raises IntegrationError naming t if the step
-    size underflows before the span end."""
+    size underflows before the span end, DomainError unless both
+    tolerances are finite and positive."""
+    _check_tolerances(rel_tol, abs_tol)
     res = solve_ivp(hamilton_field(p, s), span, [lam0, mu0], rtol=rel_tol, atol=abs_tol)
     if res.status != 0:
         raise IntegrationError(f"Hamiltonian integration failed near t={res.t[-1]}: {res.message}")
@@ -482,11 +499,13 @@ def lam3_at_root(sol: DenseSolution, root: RootAnchor, p: EquationParams) -> flo
     dropped (the formula is indeterminate at the root itself), and a
     degree-4 polynomial is least-squares fitted and read off at the root.
     """
+    import numpy as np  # for polyfit; the rest of the module runs without numpy
+
     t0 = root.t0
     w = 0.1 * abs(t0)
     excl = 1e-3 * max(1.0, abs(t0))
     kept = []
-    for t in np.linspace(t0 - w, t0 + w, 41).tolist():
+    for t in linspace(t0 - w, t0 + w, 41):
         if sol.covers(t):
             lam, lamdot = sol.state(t)
             if abs(lam) > excl:
@@ -525,10 +544,9 @@ def compare_series(sol: DenseSolution, lam_series: DtSeries, window: tuple, n: i
     """Max |series - interpolant| over a dense grid in the window."""
     t0 = lam_series.anchor.t0
     lo, hi = min(window), max(window)
-    grid = np.linspace(lo, hi, n)
     dev = 0.0
-    for t in grid:
-        dev = max(dev, abs(series_eval(lam_series, t - t0) - sol.lam(float(t))))
+    for t in linspace(lo, hi, n):
+        dev = max(dev, abs(series_eval(lam_series, t - t0) - sol.lam(t)))
     return dev
 
 

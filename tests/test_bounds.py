@@ -8,12 +8,12 @@ from p3prime import (
     EquationParams,
     RootAnchor,
     SignSwitch,
-    algorithm_increments,
-    convergence_bounds,
     run_scheme,
     series_eval,
 )
 from p3prime.bounds import (
+    algorithm_increments,
+    convergence_bounds,
     d_omega_mu_lambda,
     d_omega_mu_mu,
     d_omega_xi_lambda,

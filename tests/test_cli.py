@@ -388,11 +388,29 @@ def test_roots_csv_format(tmp_path):
 
 
 def test_cli_import_loads_no_scipy():
-    # the RK kernel and brentq are pure Python
+    # the RK kernel and brentq are pure Python, and only verify and bounds
+    # import the modules that need numpy, when they run
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-c", "import p3prime.cli"],
         capture_output=True, text=True, env=_cli_env(), check=True,
     )
     modules = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
     assert "p3prime.cli" in modules
-    assert not [m for m in modules if m == "scipy" or m.startswith("scipy.")]
+    assert not [m for m in modules if m.split(".")[0] in ("scipy", "numpy")]
+
+
+def test_commands_other_than_verify_and_bounds_leave_numpy_unimported(tmp_path):
+    # importing numpy took about half of a short command's time in a fresh interpreter
+    small = [*PARAMS, *CAUCHY, *SPAN]
+    runs = [
+        ["expand-root", *APX], ["expand-pole", *APX],
+        *([command, *small] for command in ("integrate", "find-roots", "lam3", "residual", "symmetry")),
+        ["reproduce-appendix"],
+    ]
+    runs = [[*argv, "--out", str(tmp_path / argv[0])] for argv in runs]
+    code = (
+        "import sys; from p3prime import cli; "
+        f"assert [cli.main(argv) for argv in {runs!r}] == {[0] * len(runs)!r}; "
+        "assert 'numpy' not in sys.modules, 'numpy imported'"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, env=_cli_env(), stdout=subprocess.DEVNULL)

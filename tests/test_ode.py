@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import least_squares as scipy_least_squares
 
 from p3prime import DomainError, EquationParams, RootAnchor, SignSwitch, _rk, acceptance, mu_from_lambda, ode
@@ -20,6 +22,7 @@ from p3prime.ode import (
     integrate_hamiltonian,
     lam3_at_root,
     least_squares,
+    linspace,
     residual_scan,
     root_slope,
     symmetry_check,
@@ -54,15 +57,27 @@ def test_input_validation():
         integrate(P, 1.0, 0.5, 0.0, (1.0, 1.0))
 
 
+_TOLERANCE_RUNS = {
+    "integrate": lambda **tol: integrate(P, 1.0, 0.5, 0.0, (0.5, 2.0), **tol),
+    "integrate_hamiltonian": lambda **tol: integrate_hamiltonian(P, SignSwitch(1), 1.0, 0.5, 0.3, (1.0, 2.0), **tol),
+}
+_TOLERANCE_CASES = [(solver, name) for solver in _TOLERANCE_RUNS for name in ("rel_tol", "abs_tol")]
+
+
 @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
-@pytest.mark.parametrize("name", ["rel_tol", "abs_tol"])
-def test_tolerances_must_be_finite_and_positive(monkeypatch, name, tol):
+@pytest.mark.parametrize(
+    "solver, name",
+    _TOLERANCE_CASES,
+    # integrate's cases keep the ids they had before integrate_hamiltonian joined
+    ids=[name if solver == "integrate" else f"{solver}-{name}" for solver, name in _TOLERANCE_CASES],
+)
+def test_tolerances_must_be_finite_and_positive(monkeypatch, solver, name, tol):
     # a NaN tolerance made the first step size NaN and the kernel loop
     # forever, 0 divided by zero and inf took any step; the stub turns a
     # check that no longer runs before the stepping into a failure, not a hang
     monkeypatch.setattr(ode, "solve_ivp", lambda *args, **kwargs: pytest.fail("stepped with a bad tolerance"))
     with pytest.raises(DomainError, match="rel_tol and abs_tol must be finite and positive"):
-        integrate(P, 1.0, 0.5, 0.0, (0.5, 2.0), **{name: tol})
+        _TOLERANCE_RUNS[solver](**{name: tol})
 
 
 def test_appendix_roots_match(appendix_solution, appendix_roots):
@@ -401,6 +416,22 @@ def test_residual_scan_on_series_matches_slope_seven():
         res.append(abs(fd2 - rhs_scalar(t, series_eval(lam, dt), series_eval_derivative(lam, dt), P)))
     slope = np.polyfit(np.log(dts), np.log(res), 1)[0]
     assert slope == pytest.approx(7.0, abs=0.5)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300)
+@given(_FINITE, _FINITE, st.one_of(st.sampled_from([41, 401, 601, 801, 1201, 2001, 4001]), st.integers(2, 300)))
+@example(0.0, 5e-324, 4)  # the step underflows, and numpy scales the span instead
+@example(-1e308, 1e308, 3)  # the span overflows: nan, inf, then the end point
+@example(2.0, 0.01, 2001)  # reversed
+@example(-0.3, -0.0, 601)
+def test_linspace_equals_numpys_bit_for_bit(a, b, n):
+    # the CLI's grids come from linspace, so its files stay those numpy's grids gave
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.linspace(a, b, n)
+    assert np.array(linspace(a, b, n)).tobytes() == want.tobytes()
 
 
 def test_compare_series_same_anchor_tight():
