@@ -2,12 +2,15 @@
 
 Coefficient lists are indexed by power (index k holds the coefficient of
 x**k).  The helpers are scalar-type agnostic: they work for floats and for
-``fractions.Fraction`` alike, which the test oracles rely on.
+``fractions.Fraction`` alike, which the test oracles rely on.  ``TruncPoly``
+wraps a list with a degree cap so that formulas can be written as plain
+arithmetic.
 """
 
 from __future__ import annotations
 
-from operator import mul
+from itertools import repeat
+from operator import mul, truediv
 
 
 def padd(a, b):
@@ -98,3 +101,56 @@ def pinv_t(t0, n):
     for _ in range(n):
         out.append(-out[-1] / t0)
     return out
+
+
+class TruncPoly:
+    """Polynomial truncated after degree ``cap``: no operation forms a term
+    past it, and numbers act as constants, so a formula written as plain
+    arithmetic runs on numbers and on these alike.  All arithmetic goes
+    through the primitives ``_sum``, ``_scale`` and ``_prod``, which a
+    subclass with other coefficient storage overrides."""
+
+    __slots__ = ("c", "cap")
+
+    def __init__(self, c, cap: int):
+        self.c, self.cap = c[: cap + 1], cap
+
+    _sum, _prod = staticmethod(padd), staticmethod(pmul)
+
+    @staticmethod
+    def _scale(a, c, op=mul):
+        return list(map(op, a, repeat(c)))
+
+    def __add__(self, other):
+        b = other.c if isinstance(other, TruncPoly) else [other]
+        return type(self)(self._sum(self.c, b), self.cap)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, TruncPoly):
+            return type(self)(self._prod(self.c, other.c, self.cap), self.cap)
+        return type(self)(self._scale(self.c, other), self.cap)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return type(self)(self._scale(self.c, other, truediv), self.cap)
+
+    def __pow__(self, n: int):
+        out = self
+        for _ in range(n - 1):
+            out = out * self
+        return out
+
+    def sigma_avg(self, extra: int = 0):
+        return type(self)(psigma_avg(self.c, extra), self.cap)

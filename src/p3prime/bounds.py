@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -160,56 +161,32 @@ def d_omega_xi_mu(eta, lam_hat, mu_hat, d_lam, a: RootAnchor, p: EquationParams)
     )
 
 
-class _EtaPoly:
-    """Polynomial in eta on a numpy float array, truncated after degree ``cap``
-    by every operation; scalars act as constant polynomials."""
+class _EtaPoly(_poly.TruncPoly):
+    """``TruncPoly`` on a numpy float array: the sum pads and adds, the
+    scale is elementwise and the product is ``np.convolve``."""
 
+    __slots__ = ()
     __array_ufunc__ = None  # numpy scalars defer to the reflected operators
 
     def __init__(self, c, cap: int):
         self.c = np.asarray(c, dtype=float)[: cap + 1]
         self.cap = cap
 
-    def _new(self, c):
-        return _EtaPoly(c, self.cap)
-
-    def __add__(self, other):
-        if not isinstance(other, _EtaPoly):
-            other = self._new([other])
-        a, b = (self.c, other.c) if len(self.c) >= len(other.c) else (other.c, self.c)
+    @staticmethod
+    def _sum(a, b):
+        if len(a) < len(b):
+            a, b = b, a
         out = a.copy()
         out[: len(b)] += b
-        return self._new(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._new(-self.c)
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        if isinstance(other, _EtaPoly):
-            return self._new(np.convolve(self.c, other.c))
-        return self._new(self.c * other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._new(self.c / other)
-
-    def __pow__(self, n: int):
-        out = self
-        for _ in range(n - 1):
-            out = out * self
         return out
 
-    def sigma_avg(self, extra: int = 0) -> "_EtaPoly":
-        return self._new(_poly.psigma_avg(self.c, extra))
+    @staticmethod
+    def _scale(a, c, op=mul):
+        return op(a, c)
+
+    @staticmethod
+    def _prod(a, b, cap):
+        return np.convolve(a, b)[: cap + 1]
 
 
 @dataclass(frozen=True)

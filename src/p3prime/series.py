@@ -13,10 +13,13 @@ long as the lam input is at most three orders behind, and one order for lam
 per step as long as the mu input is not behind; four steps of each per round
 therefore gain four orders, which is the staggering used by ``run_scheme``.
 
-Series coefficients are IEEE doubles throughout; the closed-form degree-5
-reference ``lam6_reference`` provides the independent oracle for the scheme.
-``taylor_at_root`` computes the same cubic-factor series from the direct
-Painleve-test recurrence in O(N^2) operations, against O(N^3) for the scheme.
+The scheme uses only field arithmetic, so its coefficients have the type of
+the anchor and parameters: doubles in every command, exact ``Fraction``s in
+the tests' oracles.  The closed-form degree-5 reference ``lam6_reference``
+provides an independent oracle for the scheme.  ``taylor_at_root`` computes
+the same cubic-factor series from the direct Painleve-test recurrence in
+O(N^2) operations, against O(N^3) for the scheme; on ``Fraction`` inputs the
+two agree exactly.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ class DtSeries:
     valid_order: int
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))
         if self.valid_order < 0:
             raise ValueError("valid_order must be >= 0")
         if len(self.coeffs) < self.valid_order + 1:
@@ -80,7 +83,7 @@ def series_eval_derivative(s: DtSeries, dt: float, order: int = 1) -> float:
 
 def mu_at_root(a: RootAnchor, p: EquationParams) -> float:
     """Momentum value forced at the root: (1 + sgn(1-chi0^2)/(2 t0) + 3 t0 lam3)/2."""
-    return 0.5 * (1 + a.s * (1 - p.chi0**2) / (2 * a.t0) + 3 * a.t0 * a.lam3)
+    return (1 + a.s * (1 - p.chi0**2) / (2 * a.t0) + 3 * a.t0 * a.lam3) / 2
 
 
 def lam3_from_mu(t0: float, sg: int, mu: float, p: EquationParams) -> float:
@@ -116,87 +119,41 @@ def init_pair(a: RootAnchor, p: EquationParams) -> tuple[DtSeries, DtSeries]:
 
 # The kernels take the series at the shifted argument tau = t0 + sigma*dt.
 # A series sum_k c_k dt^k there is sum_k c_k eta^k with eta = sigma*dt, so the
-# coefficient lists go in unchanged and each kernel is an eta-polynomial.
+# coefficient lists go in unchanged, as _poly.TruncPoly eta-polynomials, and
+# each kernel is one formula that also evaluates pointwise on numbers.  The
+# grouping of each formula fixes the order of its floating-point operations.
 
 
-def _kernel_mu_eta(lam_t, mu_t, a: RootAnchor, p: EquationParams) -> list:
-    """mu-update kernel as an eta-polynomial:
-    mu(tau) * (sgn*chi0 + 2*eta*(1 - mu(tau))*(sgn - eta*(chi0-sgn)/(2t0) + eta^2*lam(tau)))."""
-    sg, t0, chi0 = a.s, a.t0, p.chi0
-    inner = _poly.padd(
-        _poly.padd([sg], _poly.pshift([-(chi0 - sg) / (2 * t0)], 1)), _poly.pshift(lam_t, 2)
-    )
-    one_minus_mu = _poly.padd([1.0], _poly.pscale(mu_t, -1.0))
-    tail = _poly.pshift(_poly.pscale(_poly.pmul(one_minus_mu, inner), 2.0), 1)
-    return _poly.pmul(mu_t, _poly.padd([sg * chi0], tail))
+def _kernel_mu(eta, lam, mu, a: RootAnchor, p: EquationParams):
+    """mu-update kernel."""
+    sg, chi0 = a.s, p.chi0
+    k0 = (chi0 - sg) / (2 * a.t0)
+    return mu * (sg * chi0 + 2 * eta * (1 - mu) * (sg - eta * k0 + eta**2 * lam))
 
 
-def _kernel_lambda_eta(lam_t, mu_t, a: RootAnchor, p: EquationParams) -> list:
-    """lam-update kernel as an eta-polynomial."""
+def _kernel_lambda(eta, lam, mu, a: RootAnchor, p: EquationParams):
+    """lam-update kernel."""
     sg, t0, chi0 = a.s, a.t0, p.chi0
     k0 = (chi0 - sg) / (2 * t0)
-    two_mu_m1 = _poly.padd(_poly.pscale(mu_t, 2.0), [-1.0])
-    head = _poly.padd([sg * (chi0**2 - 1) / (2 * t0) - 1], _poly.pscale(mu_t, 2.0))
-    mid = _poly.pshift(
-        _poly.pscale(
-            _poly.padd(
-                _poly.pscale(lam_t, chi0 - 2 * sg),
-                _poly.pscale(two_mu_m1, (chi0 - sg) / t0),
-            ),
-            -sg,
-        ),
-        1,
+    return (
+        sg * (chi0**2 - 1) / (2 * t0) - 1 + 2 * mu
+        - sg * eta * ((chi0 - 2 * sg) * lam + (chi0 - sg) / t0 * (2 * mu - 1))
+        + eta**2 * (2 * mu - 1) * (2 * sg * lam + (k0 - eta * lam) ** 2)
     )
-    sq = _poly.padd([k0], _poly.pscale(_poly.pshift(lam_t, 1), -1.0))
-    tail = _poly.pshift(
-        _poly.pmul(two_mu_m1, _poly.padd(_poly.pscale(lam_t, 2 * sg), _poly.pmul(sq, sq))), 2
-    )
-    return _poly.padd(_poly.padd(head, mid), tail)
 
 
-def _kernel_xi_eta(lam_t, mu_t, a: RootAnchor, p: EquationParams) -> list:
-    """Kernel of the root-ratio function xi as an eta-polynomial.
+def _kernel_xi(eta, lam, mu, a: RootAnchor, p: EquationParams):
+    """Kernel of the root-ratio function xi.
 
     ``run_scheme``'s steps do not use it; it is the definition the tests
     hold the bounds' xi increments, and their refined lam step (the oracle
     for ``init_pair``), to."""
     sg, t0, chi0 = a.s, a.t0, p.chi0
     k0 = (chi0 - sg) / (2 * t0)
-    two_mu_m1 = _poly.padd(_poly.pscale(mu_t, 2.0), [-1.0])
-    head = _poly.padd(
-        _poly.padd([sg * 3 * (chi0 - sg)], _poly.pscale(mu_t, -8 * sg * chi0)),
-        _poly.pscale(lam_t, -3 * sg * (chi0 - 2 * sg) * t0),
-    )
-    sq = _poly.padd([k0], _poly.pscale(_poly.pshift(lam_t, 1), -1.0))
-    mid = _poly.pshift(
-        _poly.pscale(
-            _poly.pmul(two_mu_m1, _poly.padd(_poly.pscale(lam_t, 2 * sg), _poly.pmul(sq, sq))),
-            3 * t0,
-        ),
-        1,
-    )
-    inner = _poly.padd(
-        _poly.padd([sg], _poly.pshift([-(chi0 - sg) / (2 * t0)], 1)), _poly.pshift(lam_t, 2)
-    )
-    mu_mu_m1 = _poly.pmul(_poly.padd(mu_t, [-1.0]), mu_t)
-    tail = _poly.pshift(_poly.pscale(_poly.pmul(mu_mu_m1, inner), 4.0), 1)
-    return _poly.padd(_poly.padd(head, mid), tail)
-
-
-def _step_mu_raw(lam_c, mu_c, a: RootAnchor, p: EquationParams) -> list:
-    sg, t0 = a.s, a.t0
-    om = _poly.psigma_avg(_kernel_mu_eta(lam_c, mu_c, a, p))
-    inner = _poly.padd(
-        _poly.padd([-0.5 * (p.chi_inf + sg * p.chi0 - 1)], _poly.pscale(mu_c, -1.0)), om
-    )
-    return _poly.padd([mu_at_root(a, p)], _poly.pshift(_poly.pscale(inner, 1 / t0), 1))
-
-
-def _step_lambda_raw(lam_c, mu_c, a: RootAnchor, p: EquationParams) -> list:
-    t0 = a.t0
-    om = _poly.psigma_avg(_kernel_lambda_eta(lam_c, mu_c, a, p), 2)
-    return _poly.padd(
-        _poly.pshift(_poly.pscale(lam_c, -1 / t0), 1), _poly.pscale(om, 1 / t0)
+    return (
+        sg * 3 * (chi0 - sg) - 8 * sg * chi0 * mu - 3 * sg * (chi0 - 2 * sg) * t0 * lam
+        + 3 * t0 * (eta * (2 * mu - 1) * (2 * sg * lam + (k0 - eta * lam) ** 2))
+        + 4 * eta * (mu - 1) * mu * (sg - eta * k0 + eta**2 * lam)
     )
 
 
@@ -204,16 +161,19 @@ def step_mu(lam_in: DtSeries, mu_in: DtSeries, a: RootAnchor, p: EquationParams)
     """One mu update; output validity min(order(mu_in)+1, order(lam_in)+4)."""
     _require_same_anchor(lam_in, mu_in)
     v = min(mu_in.valid_order + 1, lam_in.valid_order + 4)
-    out = _step_mu_raw(lam_in.trusted(), mu_in.trusted(), a, p)
-    return DtSeries(a, _poly.ptrim(out, v), v)
+    eta, lam, mu = (_poly.TruncPoly(c, v) for c in ([0, 1], lam_in.trusted(), mu_in.trusted()))
+    om = _kernel_mu(eta, lam, mu, a, p).sigma_avg()
+    out = mu_at_root(a, p) + 1 / a.t0 * eta * (-(p.chi_inf + a.s * p.chi0 - 1) / 2 - mu + om)
+    return DtSeries(a, out.c, v)
 
 
 def step_lambda(lam_in: DtSeries, mu_in: DtSeries, a: RootAnchor, p: EquationParams) -> DtSeries:
     """One lam update; output validity min(order(lam_in)+1, order(mu_in))."""
     _require_same_anchor(lam_in, mu_in)
     v = min(lam_in.valid_order + 1, mu_in.valid_order)
-    out = _step_lambda_raw(lam_in.trusted(), mu_in.trusted(), a, p)
-    return DtSeries(a, _poly.ptrim(out, v), v)
+    eta, lam, mu = (_poly.TruncPoly(c, v) for c in ([0, 1], lam_in.trusted(), mu_in.trusted()))
+    om = _kernel_lambda(eta, lam, mu, a, p).sigma_avg(2)
+    return DtSeries(a, (-1 / a.t0 * eta * lam + 1 / a.t0 * om).c, v)
 
 
 def run_scheme(a: RootAnchor, p: EquationParams, target_order: int) -> tuple[DtSeries, DtSeries]:
@@ -251,7 +211,7 @@ def taylor_at_root(a: RootAnchor, p: EquationParams, target_order: int) -> DtSer
     lower ones.  The products lam^2, lam lam'' - lam'^2 and lam lam' are
     cached once their coefficients are final, so order N costs O(N^2)
     operations.  Only field arithmetic is used, so exact ``Fraction`` anchors
-    and parameters give the exact series (rounded to doubles by DtSeries).
+    and parameters give the exact series, equal to ``run_scheme``'s.
     """
     if target_order < 0:
         raise ValueError("target_order must be >= 0")

@@ -19,7 +19,7 @@ from p3prime.bounds import (
     d_omega_xi_lambda,
     d_omega_xi_mu,
 )
-from p3prime.series import _kernel_mu_eta, _kernel_xi_eta
+from p3prime.series import _kernel_mu, _kernel_xi
 
 A = RootAnchor(0.511115, SignSwitch(1), -9.01149)
 P = EquationParams(-0.811597, -0.0550042)
@@ -73,19 +73,14 @@ def test_increment_kernels_give_the_exact_kernel_difference(anchor, params):
     rng = np.random.default_rng(7)
     eta, lam0, mu0, d_lam, d_mu = rng.uniform(-1, 1, (5, 200))
     lam_h, mu_h = lam0 + d_lam / 2, mu0 + d_mu / 2
-
-    def kernel(build, lam, mu):
-        return np.array([
-            np.polynomial.polynomial.polyval(e, build([x], [y], anchor, params)) for e, x, y in zip(eta, lam, mu)
-        ])
-
-    for build, by_increments in (
-        (_kernel_mu_eta, d_mu * d_omega_mu_mu(eta, lam_h, mu_h, anchor, params)
+    for kernel, by_increments in (
+        (_kernel_mu, d_mu * d_omega_mu_mu(eta, lam_h, mu_h, anchor, params)
          + d_lam * d_omega_mu_lambda(eta, mu_h, d_mu)),
-        (_kernel_xi_eta, d_mu * d_omega_xi_mu(eta, lam_h, mu_h, d_lam, anchor, params)
+        (_kernel_xi, d_mu * d_omega_xi_mu(eta, lam_h, mu_h, d_lam, anchor, params)
          + d_lam * d_omega_xi_lambda(eta, lam_h, mu_h, d_mu, anchor, params)),
     ):
-        difference = kernel(build, lam0 + d_lam, mu0 + d_mu) - kernel(build, lam0, mu0)
+        # the series module's kernels themselves, evaluated on all samples at once
+        difference = kernel(eta, lam0 + d_lam, mu0 + d_mu, anchor, params) - kernel(eta, lam0, mu0, anchor, params)
         assert np.max(np.abs(difference - by_increments)) <= 1e-12
 
 

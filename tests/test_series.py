@@ -29,7 +29,7 @@ from p3prime import (
     taylor_at_root,
 )
 from p3prime import _poly, acceptance
-from p3prime.series import _kernel_lambda_eta, _kernel_mu_eta, _kernel_xi_eta, _require_same_anchor, lam3_from_mu
+from p3prime.series import _kernel_lambda, _kernel_mu, _kernel_xi, _require_same_anchor, lam3_from_mu
 
 
 def step_lambda_refined(lam_in, mu_in, a, p):
@@ -42,15 +42,11 @@ def step_lambda_refined(lam_in, mu_in, a, p):
     _require_same_anchor(lam_in, mu_in)
     sg, t0 = a.s, a.t0
     v = min(lam_in.valid_order + 1, mu_in.valid_order)
-    mu_k = _kernel_mu_eta(lam_in.trusted(), mu_in.trusted(), a, p)
-    xi_k = _kernel_xi_eta(lam_in.trusted(), mu_in.trusted(), a, p)
-    om = _poly.padd(_poly.pscale(_poly.psigma_avg(mu_k), 2.0), _poly.psigma_avg(xi_k, 3))
-    inner = _poly.padd(
-        _poly.padd([(p.chi_inf + sg * p.chi0 - 1) / (4 * t0)], lam_in.trusted()),
-        _poly.pscale(om, -1 / (3 * t0)),
-    )
-    out = _poly.padd([a.lam3], _poly.pshift(_poly.pscale(inner, -1 / t0), 1))
-    return DtSeries(a, _poly.ptrim(out, v), v)
+    eta, lam, mu = (_poly.TruncPoly(c, v) for c in ([0, 1], lam_in.trusted(), mu_in.trusted()))
+    om = 2 * _kernel_mu(eta, lam, mu, a, p).sigma_avg() + _kernel_xi(eta, lam, mu, a, p).sigma_avg(3)
+    inner = (p.chi_inf + sg * p.chi0 - 1) / (4 * t0) + lam - 1 / (3 * t0) * om
+    out = a.lam3 - 1 / t0 * eta * inner
+    return DtSeries(a, out.c, v)
 
 
 A = RootAnchor(0.9, SignSwitch(1), 1.3)
@@ -117,13 +113,20 @@ def nonzero_terms(q):
     return {k: c for k, c in enumerate(q) if c != 0.0}
 
 
+def on_eta(kernel, lam, mu, cap=12):
+    """A kernel's eta-polynomial for coefficient lists lam and mu; the cap
+    lies past every product's degree here, so nothing is dropped."""
+    eta, lam, mu = (_poly.TruncPoly(c, cap) for c in ([0, 1], lam, mu))
+    return kernel(eta, lam, mu, A, P).c
+
+
 def test_kernel_omega_mu_vanishes_without_mu():
-    assert nonzero_terms(_kernel_mu_eta([0.0] * 4, [0.0] * 4, A, P)) == {}
+    assert nonzero_terms(on_eta(_kernel_mu, [0.0] * 4, [0.0] * 4)) == {}
 
 
 def test_kernel_omega_mu_constant_mu_closed_form():
     c = 0.7
-    q = nonzero_terms(_kernel_mu_eta([0.0], [c], A, P))
+    q = nonzero_terms(on_eta(_kernel_mu, [0.0], [c]))
     sg, t0 = A.s, A.t0
     # c*(sgn*chi0 + 2*eta*(1-c)*(sgn - eta*(chi0-sgn)/(2 t0))); index k is eta^k
     want = {
@@ -137,7 +140,7 @@ def test_kernel_omega_mu_constant_mu_closed_form():
 
 
 def test_kernel_omega_lambda_zero_input_quadratic():
-    q = nonzero_terms(_kernel_lambda_eta([0.0], [0.0], A, P))
+    q = nonzero_terms(on_eta(_kernel_lambda, [0.0], [0.0]))
     sg, t0, chi0 = A.s, A.t0, P.chi0
     want = {
         0: sg * (chi0**2 - 1) / (2 * t0) - 1,
@@ -150,7 +153,7 @@ def test_kernel_omega_lambda_zero_input_quadratic():
 
 
 def test_kernel_omega_xi_zero_slice():
-    q = _kernel_xi_eta([0.0], [0.0], A, P)
+    q = on_eta(_kernel_xi, [0.0], [0.0])
     assert q[0] == pytest.approx(A.s * 3 * (P.chi0 - A.s), rel=1e-14)
 
 
@@ -189,6 +192,50 @@ def test_pcoef_is_the_generator_sum_bit_for_bit(ab):
         lo, hi = max(0, j - len(b) + 1), min(j, len(a) - 1)
         want = sum(a[i] * b[j - i] for i in range(lo, hi + 1))
         assert repr(_poly.pcoef(a, b, j)) == repr(want)
+
+
+def _capped(e, cap):
+    if e[0] == "leaf":
+        return _poly.TruncPoly(e[1], cap)
+    if e[0] == "**":
+        return _capped(e[1], cap) ** e[2]
+    x, y = _capped(e[1], cap), _capped(e[2], cap)
+    return x + y if e[0] == "+" else x - y if e[0] == "-" else x * y
+
+
+def _uncapped(e):
+    if e[0] == "leaf":
+        return list(e[1])
+    if e[0] == "**":
+        out = base = _uncapped(e[1])
+        for _ in range(e[2] - 1):
+            out = _poly.pmul(out, base)
+        return out
+    x, y = _uncapped(e[1]), _uncapped(e[2])
+    if e[0] == "*":
+        return _poly.pmul(x, y)
+    return _poly.padd(x, y if e[0] == "+" else _poly.pscale(y, -1))
+
+
+def _expressions(coeffs):
+    return st.recursive(
+        coeffs.map(lambda c: ("leaf", c)),
+        lambda sub: st.one_of(
+            st.tuples(st.sampled_from("+-*"), sub, sub), st.tuples(st.just("**"), sub, st.integers(1, 3))
+        ),
+        max_leaves=6,
+    )
+
+
+@given(
+    st.one_of(_expressions(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=5)), _expressions(_fractions)),
+    st.integers(0, 8),
+)
+def test_truncpoly_keeps_every_coefficient_up_to_its_cap_bit_for_bit(expr, cap):
+    # capping drops the terms past cap before they are formed and changes no
+    # term at or below it: the same expression on plain coefficient lists,
+    # truncated afterwards, gives the same coefficients, repr for repr
+    assert repr(_poly.ptrim(_capped(expr, cap).c, cap)) == repr(_poly.ptrim(_uncapped(expr), cap))
 
 
 def test_step_mu_from_zero_reproduces_starting_polynomial():
@@ -455,7 +502,7 @@ def test_taylor_at_root_rejects_negative_order():
             40,
             marks=pytest.mark.xfail(
                 strict=True,
-                reason="run_scheme loses its high coefficients to rounding: worst error 17.5 at order 40 (ROADMAP item 2)",
+                reason="run_scheme loses its high coefficients to rounding: worst error 17.5 at order 40 (ROADMAP item 7)",
             ),
         ),
     ],
@@ -471,3 +518,22 @@ def test_run_scheme_matches_recurrence_past_degree_5(order):
         for k, (g, r) in enumerate(zip(got, ref, strict=True)):
             worst = max(worst, abs(g - r) * h**k / max(1.0, abs(r) * h**k))
     assert worst <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "anchor,params",
+    [
+        (RootAnchor(F(APX_A.t0), APX_A.sgn, F(APX_A.lam3)), EquationParams(F(APX_P.chi0), F(APX_P.chi_inf))),
+        (RootAnchor(F(A.t0), SignSwitch(1), F(A.lam3)), EquationParams(F(P.chi0), F(P.chi_inf))),
+        (RootAnchor(F(A.t0), SignSwitch(-1), F(A.lam3)), EquationParams(F(P.chi0), F(P.chi_inf))),
+        (RootAnchor(F("-1.2"), SignSwitch(-1), F("2.5")), EquationParams(F("1.3"), F("-0.7"))),
+    ],
+    ids=["worked-example", "A+", "A-", "negative-t0"],
+)
+def test_run_scheme_is_the_recurrence_in_exact_arithmetic(anchor, params):
+    # on Fraction anchors and parameters both constructions are exact and give
+    # the same series, so the float gap of the order-40 xfail is rounding alone
+    for order in (5, 12, 20):
+        got = run_scheme(anchor, params, order)[0].coeffs
+        assert all(isinstance(c, F) for c in got)
+        assert got == taylor_at_root(anchor, params, order).coeffs
