@@ -1,19 +1,24 @@
-"""DOP853 integration on Python floats, and Brent's root finder.
+"""DOP853 integration of two-component systems on Python floats, and
+Brent's root finder.
 
-This is scipy's ``solve_ivp(method="DOP853")`` written for the small
-systems the verifier integrates (two components), where numpy's per-call
-overhead on every stage of every step costs more than the arithmetic.  It
-keeps scipy's behaviour: the 12-stage, order-8 Dormand-Prince tableau of
-Hairer-Norsett-Wanner (Sec. II.10) with its combined 5th- and 3rd-order
-error estimate, the initial step and step-size controller of Sec. II.4
-(exponent -1/8), the 7th-order dense output, the segment choice of
-``OdeSolution`` at mesh nodes and the terminal-event handling.  The dense
-output is lazy: an accepted step keeps its 13 stage values, and its
-interpolant is formed on the first evaluation in that step, with the 3
-extra stages and the sums scipy's eager form would make, so most steps,
-which are never evaluated, never pay for them.  Next to the mesh ``ts`` the
-solution keeps the accepted states ``ys``, which callers can read instead
-of interpolating at a node.
+This is scipy's ``solve_ivp(method="DOP853")`` written for the pairs the
+verifier integrates, ``(lam, lam')``, ``(lam, mu)`` and ``(g, nu)``, where
+numpy's per-call overhead on every stage of every step costs more than the
+arithmetic.  Each component keeps its own list of stage values, every
+combination of stages is one C-level ``sum(map(mul, coefficients, stages))``,
+and the two components are written out, with no loop over them; a state
+that is not a pair raises ValueError.  It keeps scipy's behaviour: the
+12-stage, order-8 Dormand-Prince tableau of Hairer-Norsett-Wanner
+(Sec. II.10) with its combined 5th- and 3rd-order error estimate, the
+initial step and step-size controller of Sec. II.4 (exponent -1/8), the
+7th-order dense output, the segment choice of ``OdeSolution`` at mesh nodes
+and the terminal-event handling.  The dense output is lazy: an accepted step
+keeps its 13 stage values per component, and its interpolant is formed on
+the first evaluation in that step, with the 3 extra stages and the sums
+scipy's eager form would make, so most steps, which are never evaluated,
+never pay for them.  Next to the mesh ``ts`` the solution keeps the
+accepted states ``ys``, which callers can read instead of interpolating at
+a node.
 
 Sums run in another order than numpy's dot products, so results differ
 from scipy's in rounding, and the step controller carries that rounding of
@@ -227,48 +232,52 @@ def brentq(f, a, b, xtol=2e-12, rtol=4 * EPS, maxiter=100):
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
-def _rms(v):
-    return math.sqrt(sum([x * x for x in v])) / math.sqrt(len(v))
+def _rms(a, b):
+    return math.sqrt(a * a + b * b) / math.sqrt(2)
 
 
-def _error_norm(K, h, scale):
+def _error_norm(K0, K1, h, s0, s1):
     """scipy's DOP853 error norm: |h| times the 5th-order estimate's squared
     norm over the root of the two estimates' combined squared norms."""
-    e5 = e3 = 0.0
-    for k, s in zip(K, scale):
-        r5 = sum(map(mul, E5, k)) / s
-        r3 = sum(map(mul, E3, k)) / s
-        e5 += r5 * r5
-        e3 += r3 * r3
+    a5 = sum(map(mul, E5, K0)) / s0
+    b5 = sum(map(mul, E5, K1)) / s1
+    a3 = sum(map(mul, E3, K0)) / s0
+    b3 = sum(map(mul, E3, K1)) / s1
+    e5 = a5 * a5 + b5 * b5
+    e3 = a3 * a3 + b3 * b3
     if e5 == 0 and e3 == 0:
         return 0.0
-    return abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * len(scale))
+    return abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * 2)
 
 
 def _interpolate(piece, t, fun):
     """State at t from one step's 7th-order interpolant.
 
     A piece is ``[t_old, h, y_old, y_new, q]``.  Until its first use, q
-    holds the step's stages 0..12, component by component, in one
-    ``array('d')``; the first use calls ``fun`` for stages 13..15 and
-    replaces q with the interpolant's 7 coefficients per component.
+    holds the step's stages 0..12 of the first component, then those of the
+    second, in one ``array('d')``; the first use calls ``fun`` for stages
+    13..15 and replaces q with the interpolant's 7 coefficients per
+    component, one tuple each.
     """
-    t_old, h, y_old, y_new, q = piece
+    t_old, h, (y0, y1), y_new, q = piece
     if type(q) is array:
         n = N_STAGES + 1
-        K = [q[i : i + n].tolist() for i in range(0, len(q), n)]
+        K0, K1 = q[:n].tolist(), q[n:].tolist()
         for c, a in zip(C_EXTRA, A_EXTRA):
-            for k, v in zip(K, fun(t_old + c * h, [yi + sum(map(mul, a, k)) * h for yi, k in zip(y_old, K)])):
-                k.append(v)
+            v0, v1 = fun(t_old + c * h, [y0 + sum(map(mul, a, K0)) * h, y1 + sum(map(mul, a, K1)) * h])
+            K0.append(v0)
+            K1.append(v1)
+        dy0, dy1 = y_new[0] - y0, y_new[1] - y1
         q = piece[4] = [
-            (dy, h * k[0] - dy, 2 * dy - h * (k[N_STAGES] + k[0]), *[h * sum(map(mul, d, k)) for d in D])
-            for dy, k in zip([b - a for a, b in zip(y_old, y_new)], K)
+            (dy0, h * K0[0] - dy0, 2 * dy0 - h * (K0[N_STAGES] + K0[0]), *[h * sum(map(mul, d, K0)) for d in D]),
+            (dy1, h * K1[0] - dy1, 2 * dy1 - h * (K1[N_STAGES] + K1[0]), *[h * sum(map(mul, d, K1)) for d in D]),
         ]
+    (a0, a1, a2, a3, a4, a5, a6), (b0, b1, b2, b3, b4, b5, b6) = q
     x = (t - t_old) / h
     u = 1 - x
     return [
-        y + x * (f0 + u * (f1 + x * (f2 + u * (f3 + x * (f4 + u * (f5 + x * f6))))))
-        for y, (f0, f1, f2, f3, f4, f5, f6) in zip(y_old, q)
+        y0 + x * (a0 + u * (a1 + x * (a2 + u * (a3 + x * (a4 + u * (a5 + x * a6)))))),
+        y1 + x * (b0 + u * (b1 + x * (b2 + u * (b3 + x * (b4 + u * (b5 + x * b6)))))),
     ]
 
 
@@ -310,15 +319,16 @@ class IvpResult:
     nfev: int  # right-hand-side calls, the event step's dense-output stages included
 
 
-def _initial_step(fun, t0, y0, f0, t_bound, direction, rtol, atol):
+def _initial_step(fun, t0, y, f, t_bound, direction, rtol, atol):
     interval_length = abs(t_bound - t0)
-    scale = [atol + abs(y) * rtol for y in y0]
-    d0 = _rms([y / s for y, s in zip(y0, scale)])
-    d1 = _rms([f / s for f, s in zip(f0, scale)])
+    (y0, y1), (f0, f1) = y, f
+    s0, s1 = atol + abs(y0) * rtol, atol + abs(y1) * rtol
+    d0 = _rms(y0 / s0, y1 / s1)
+    d1 = _rms(f0 / s0, f1 / s1)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval_length)
-    f1 = fun(t0 + h0 * direction, [y + h0 * direction * f for y, f in zip(y0, f0)])
-    d2 = _rms([(b - a) / s for a, b, s in zip(f0, f1, scale)]) / h0
+    g0, g1 = fun(t0 + h0 * direction, [y0 + h0 * direction * f0, y1 + h0 * direction * f1])
+    d2 = _rms((g0 - f0) / s0, (g1 - f1) / s1) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -327,19 +337,23 @@ def _initial_step(fun, t0, y0, f0, t_bound, direction, rtol, atol):
 
 
 def solve_ivp(fun, t_span, y0, rtol=1e-3, atol=1e-6, events=()):
-    """Integrate y' = fun(t, y) over t_span from y0 with dense output.
+    """Integrate the pair y' = fun(t, y) over t_span from y0 with dense output.
 
-    Every event is terminal: the integration stops at the first root, in
-    the sweep direction, of an event function ``event(t, y)`` that changes
-    sign across a step in its ``direction`` attribute (default 0, either
-    way).  The root is located in the step's interpolant with
+    ``y0`` must have two components, and ``fun`` returns two; any other
+    ``y0`` raises ValueError, as does an empty span.  Every event is
+    terminal: the integration stops at the first root, in the sweep
+    direction, of an event function ``event(t, y)`` that changes sign
+    across a step in its ``direction`` attribute (default 0, either way).
+    The root is located in the step's interpolant with
     xtol = rtol = 4 * EPS.
     """
     t, t_bound = float(t_span[0]), float(t_span[1])
     if t == t_bound:
         raise ValueError("integration span is empty")
-    direction = 1.0 if t_bound > t else -1.0
     y = [float(v) for v in y0]
+    if len(y) != 2:
+        raise ValueError(f"the kernel integrates two-component states, not {len(y)}")
+    direction = 1.0 if t_bound > t else -1.0
     f = fun(t, y)
     h_abs = _initial_step(fun, t, y, f, t_bound, direction, rtol, atol)
     nfev = 2
@@ -352,6 +366,7 @@ def solve_ivp(fun, t_span, y0, rtol=1e-3, atol=1e-6, events=()):
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
+        y0, y1 = y
         while True:
             if h_abs < min_step:
                 return IvpResult(ts, DenseOutput(ts, ys, pieces, fun), -1, MESSAGES[-1], t_events, nfev)
@@ -360,17 +375,20 @@ def solve_ivp(fun, t_span, y0, rtol=1e-3, atol=1e-6, events=()):
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
-            K = [[fi] for fi in f]  # K[i][s]: stage s of component i
+            K0, K1 = [f[0]], [f[1]]  # stages of each component
             for c, a in zip(C, A):
-                for k, v in zip(K, fun(t + c * h, [yi + sum(map(mul, a, k)) * h for yi, k in zip(y, K)])):
-                    k.append(v)
-            y_new = [yi + h * sum(map(mul, B, k)) for yi, k in zip(y, K)]
+                v0, v1 = fun(t + c * h, [y0 + sum(map(mul, a, K0)) * h, y1 + sum(map(mul, a, K1)) * h])
+                K0.append(v0)
+                K1.append(v1)
+            n0, n1 = y0 + h * sum(map(mul, B, K0)), y1 + h * sum(map(mul, B, K1))
+            y_new = [n0, n1]
             f_new = fun(t + h, y_new)
-            for k, v in zip(K, f_new):
-                k.append(v)
+            K0.append(f_new[0])
+            K1.append(f_new[1])
             nfev += N_STAGES
-            scale = [atol + max(abs(yi), abs(yn)) * rtol for yi, yn in zip(y, y_new)]
-            error_norm = _error_norm(K, h, scale)
+            s0 = atol + max(abs(y0), abs(n0)) * rtol
+            s1 = atol + max(abs(y1), abs(n1)) * rtol
+            error_norm = _error_norm(K0, K1, h, s0, s1)
             if error_norm < 1:
                 factor = MAX_FACTOR if error_norm == 0 else min(MAX_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
                 h_abs *= min(1, factor) if rejected else factor
@@ -378,7 +396,7 @@ def solve_ivp(fun, t_span, y0, rtol=1e-3, atol=1e-6, events=()):
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm**ERROR_EXPONENT)
             rejected = True
 
-        piece = [t, h, y, y_new, array("d", [v for k in K for v in k])]
+        piece = [t, h, y, y_new, array("d", K0 + K1)]
         pieces.append(piece)
         if direction * (t_new - t_bound) >= 0:
             status = 0

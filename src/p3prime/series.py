@@ -241,10 +241,11 @@ def taylor_at_root(a: RootAnchor, p: EquationParams, target_order: int) -> DtSer
 
 
 def assemble_lambda(a: RootAnchor, lam3: DtSeries, p: EquationParams) -> DtSeries:
-    """Full root expansion: dt*sgn + dt^2*(sgn-chi0)/(2 t0) + dt^3 * lam3."""
+    """Full root expansion: dt*sgn + dt^2*(sgn-chi0)/(2 t0) + dt^3 * lam3,
+    in the scalar type of the anchor and parameters (exact on ``Fraction``s)."""
     if lam3.anchor != a:
         raise AnchorMismatchError("cubic-factor series anchored elsewhere")
-    c = [0.0, float(a.s), (a.s - p.chi0) / (2 * a.t0)] + lam3.trusted()
+    c = [0, a.s, (a.s - p.chi0) / (2 * a.t0)] + lam3.trusted()
     return DtSeries(a, c, lam3.valid_order + 3)
 
 

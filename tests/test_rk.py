@@ -237,22 +237,30 @@ def test_node_states_are_the_accepted_states(name):
     assert sol.ys[0] == [float(v) for v in y_start]
     # y_new = y + h * sum(B * stages 0..11) per component, the kernel's own
     # sum, from the stage values each unevaluated step kept
-    for k, (_, h, y_old, y_new, stages) in enumerate(sol.pieces[: len(sol.pieces) - (status == 1)]):
+    for k, (t, h, y_old, y_new, stages) in enumerate(sol.pieces[: len(sol.pieces) - (status == 1)]):
         assert y_old == sol.ys[k]
         assert y_new == sol.ys[k + 1]
-        assert y_new == [y + h * sum(map(mul, _rk.B, col)) for y, col in zip(y_old, _stage_columns(stages))]
-        # stage 12 is the right-hand side at the step's end
-        assert [col[_rk.N_STAGES] for col in _stage_columns(stages)] == list(fun(res.t[k + 1], y_new))
+        cols = _stage_columns(stages)
+        assert y_new == [y + h * sum(map(mul, _rk.B, col)) for y, col in zip(y_old, cols)]
+        # stage 0 is the right-hand side at the step's start, stage s the one
+        # at t + C[s-1] h and the state y + (sum of A[s-1] times stages
+        # 0..s-1) * h, in that order of operations, and stage 12 the one at
+        # the step's end
+        assert [col[0] for col in cols] == list(fun(t, y_old))
+        for s, (c, a) in enumerate(zip(_rk.C, _rk.A), start=1):
+            y = [yi + sum(map(mul, a, col[:s])) * h for yi, col in zip(y_old, cols)]
+            assert [col[s] for col in cols] == list(fun(t + c * h, y))
+        assert [col[_rk.N_STAGES] for col in cols] == list(fun(res.t[k + 1], y_new))
     if status == 1:
         assert res.t[-1] == res.t_events[fired][0]
         assert sol.ys[-1] == sol(res.t[-1])
 
 
 def test_step_size_underflow_fails_like_scipy():
-    # y' = y^2, y(0) = 1 blows up at t = 1
-    fun = lambda t, y: [y[0] ** 2]
-    res = solve_ivp(fun, (0.0, 2.0), [1.0], rtol=RTOL, atol=ATOL)
-    ref = scipy_solve_ivp(fun, (0.0, 2.0), [1.0], method="DOP853", rtol=RTOL, atol=ATOL)
+    # y' = y^2, y(0) = 1 blows up at t = 1; the second component stays 0
+    fun = lambda t, y: [y[0] ** 2, 0.0]
+    res = solve_ivp(fun, (0.0, 2.0), [1.0, 0.0], rtol=RTOL, atol=ATOL)
+    ref = scipy_solve_ivp(fun, (0.0, 2.0), [1.0, 0.0], method="DOP853", rtol=RTOL, atol=ATOL)
     assert res.status == ref.status == -1
     assert res.message == ref.message
     assert len(res.t) == len(ref.t)
@@ -262,6 +270,15 @@ def test_step_size_underflow_fails_like_scipy():
 def test_empty_span_rejected():
     with pytest.raises(ValueError):
         solve_ivp(_rhs(P), (1.0, 1.0), [1.0, 0.0])
+
+
+@pytest.mark.parametrize("y0", [[1.0], [1.0, 0.0, 0.5]])
+def test_states_other_than_pairs_rejected(y0):
+    calls = []
+    fun = lambda t, y: calls.append(t) or [0.0] * len(y)
+    with pytest.raises(ValueError, match="two-component"):
+        solve_ivp(fun, (0.0, 1.0), y0)
+    assert calls == []  # rejected before the first right-hand-side call
 
 
 # the tolerances p3prime passes: event location in the kernel, the back-off

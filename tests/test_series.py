@@ -377,6 +377,17 @@ def test_assemble_lambda_structure():
     assert lam.valid_order == lam3.valid_order + 3
 
 
+def test_assemble_lambda_keeps_exact_anchors_exact():
+    a = RootAnchor(F(9, 10), SignSwitch(1), F(13, 10))
+    p = EquationParams(F(2, 5), F(-11, 10))
+    dt = F(1, 100)
+    got = series_eval(assemble_lambda(a, run_scheme(a, p, 12)[0], p), dt)
+    assert isinstance(got, F)
+    # the full expansion written out from the recurrence's cubic factor
+    want = dt * a.s + dt**2 * (a.s - p.chi0) / (2 * a.t0) + dt**3 * series_eval(taylor_at_root(a, p, 12), dt)
+    assert isinstance(want, F) and got == want
+
+
 def test_assemble_lambda_zero_cubic_factor():
     lam = assemble_lambda(A, zero_series(A), P)
     dt = 0.01
