@@ -54,11 +54,6 @@ def pcoef(a, b, j):
     return sum(map(mul, a[lo : hi + 1], b[j - hi : j - lo + 1][::-1]))
 
 
-def pshift(a, k):
-    """Multiply by x**k."""
-    return [0] * k + list(a)
-
-
 def ptrim(a, cap):
     """Keep coefficients 0..cap, padding with zeros if shorter."""
     out = list(a[: cap + 1])

@@ -150,6 +150,8 @@ def _validate(args: argparse.Namespace) -> None:
             raise UsageError(f"--span expects A:B, got {args.span!r}") from exc
     if args.order < 0:
         raise UsageError("--order must be >= 0")
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
     for need in _COMMANDS[args.command][1]:
         given = args.anchor if need == "cauchy" and args.cauchy is None else getattr(args, need)
         if given is None:
@@ -350,6 +352,9 @@ def main(argv=None) -> int:
         return 2
     except (DomainError, IntegrationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:  # a double overflowed, or underflowed to a zero divisor, on extreme input
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

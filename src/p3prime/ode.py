@@ -110,10 +110,12 @@ def linspace(a: float, b: float, n: int) -> list[float]:
     return [a + i * step for i in range(n - 1)] + [b]
 
 
-def _check_tolerances(rel_tol: float, abs_tol: float) -> None:
-    # a NaN tolerance made the initial step NaN, which no step-size bound replaces
+def _check_run(rel_tol: float, abs_tol: float, *state: float) -> None:
+    # a NaN tolerance or initial state made the initial step NaN, which no step-size bound replaces
     if not (0 < rel_tol < math.inf and 0 < abs_tol < math.inf):
         raise DomainError("rel_tol and abs_tol must be finite and positive")
+    if not all(map(math.isfinite, state)):
+        raise DomainError("initial data must be finite")
 
 
 @dataclass(frozen=True)
@@ -337,11 +339,11 @@ def integrate(
         raise DomainError("t_init must lie inside span")
     if lo <= 0.0 <= hi:
         raise DomainError("span must not contain t = 0")
+    _check_run(rel_tol, abs_tol, lam0, lamdot0)
     if lam0 == 0:
         raise DomainError("initial lambda must be nonzero: the equation is indeterminate at a root")
     if not abs(lam0) < _POLE_CAP:
         raise DomainError("initial lambda must lie below the pole cap |lam| < 1e6")
-    _check_tolerances(rel_tol, abs_tol)
 
     segments, crossings, pole_markers = [], [], []
 
@@ -461,8 +463,8 @@ def integrate_hamiltonian(
     Returns the kernel's result: ``.sol(t)`` gives (lam, mu) and
     ``.t`` the accepted steps.  Raises IntegrationError naming t if the step
     size underflows before the span end, DomainError unless both
-    tolerances are finite and positive."""
-    _check_tolerances(rel_tol, abs_tol)
+    tolerances are finite and positive and lam0, mu0 finite."""
+    _check_run(rel_tol, abs_tol, lam0, mu0)
     res = solve_ivp(hamilton_field(p, s), span, [lam0, mu0], rtol=rel_tol, atol=abs_tol)
     if res.status != 0:
         raise IntegrationError(f"Hamiltonian integration failed near t={res.t[-1]}: {res.message}")

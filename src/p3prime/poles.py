@@ -10,6 +10,9 @@ lam3, with the regular part's slope d1 derived from it.
 Painleve-test recurrence ``series.taylor_at_root``, which is faster and
 loses less to rounding than the integral-transform ``run_scheme``; the
 hand-transcribed ``pole_b5_reference`` stays the independent oracle.
+The map back, to the swapped root expansion of g = t/lam, gives roots and
+poles one residual series and one fitter, since lam'' - F(lam) =
+-(t/g^2) (g'' - F_swapped(g)) exactly; ``_t_over`` forms both directions.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 from . import _poly
 from .equation import DomainError, EquationParams, RootAnchor
-from .series import DtSeries, _residual_slope, assemble_lambda, taylor_at_root
+from .series import DtSeries, _residual_slope, _residual_terms, assemble_lambda, taylor_at_root
 
 
 @dataclass(frozen=True)
@@ -56,24 +59,30 @@ class LaurentExpansion:
         return sign * math.factorial(order) * self.residue / dt ** (order + 1) + _poly.peval(c, dt)
 
 
+def _t_over(t0, v, n: int) -> list:
+    """First n+1 coefficients of (t0 + dt)/v for a coefficient list v with
+    v(0) != 0.  v is divided by v(0) before the truncated reciprocal is
+    taken, so a quotient whose constant t0/v(0) is +-1 comes out exactly +-1."""
+    v0 = v[0]
+    inv = _poly.precip([c / v0 for c in v], n)
+    return [t0 * inv[0] / v0] + [(t0 * inv[k] + inv[k - 1]) / v0 for k in range(1, n + 1)]
+
+
 def series_reciprocal_times_t(lam_root: DtSeries) -> LaurentExpansion:
     """Exact truncated (t0 + dt)/lam_root for a simple-root series.
 
-    Writes lam_root = dt*u with u(0) = +-1, inverts u as a truncated series
-    and multiplies by t0 + dt; the simple-root validity V yields regular
-    part validity V - 2.
+    Writes lam_root = dt*u with u(0) = +-1 and forms (t0 + dt)/u as a
+    truncated series; the simple-root validity V yields regular part
+    validity V - 2.
     """
     c = lam_root.trusted()
     if len(c) < 2 or c[0] != 0.0 or abs(c[1]) != 1.0:
         raise DomainError("not a simple-root series: need c0 = 0 and |c1| = 1")
     if lam_root.valid_order < 2:
         raise DomainError("need validity >= 2 to form the regular part")
-    t0 = lam_root.anchor.t0
-    n = lam_root.valid_order - 1
-    u = c[1:]
-    inv_u = _poly.precip(u, n)
-    e = _poly.padd(_poly.pscale(inv_u, t0), _poly.pshift(inv_u, 1))
-    return LaurentExpansion(t0, e[0], _poly.ptrim(e[1:], n - 1), n - 1)
+    t0, n = lam_root.anchor.t0, lam_root.valid_order - 1
+    e = _t_over(t0, c[1:], n)
+    return LaurentExpansion(t0, e[0], e[1:], n - 1)
 
 
 def root_to_pole(a: RootAnchor, p: EquationParams, order: int) -> LaurentExpansion:
@@ -117,37 +126,18 @@ def pole_b5_reference(a: RootAnchor, p: EquationParams) -> LaurentExpansion:
 # residual order at a pole
 
 
-def _laurent_residual_terms(le: LaurentExpansion, p: EquationParams, work_order: int) -> list:
-    """Coefficient lists of the terms of dt^4 * (lam'' - RHS) for a truncated
-    pole expansion, each kept to degree ``work_order``."""
-    W = work_order
-    f = _poly.ptrim([le.residue] + le.trusted(), W)  # lam = f(dt)/dt
-    fd = _poly.pder(f)
-    g = _poly.padd(_poly.pshift(fd, 1), _poly.pscale(f, -1.0))  # lam' = g/dt^2
-    gd = _poly.pder(g)
-    h = _poly.padd(_poly.pshift(gd, 1), _poly.pscale(g, -2.0))  # lam'' = h/dt^3
-    inv_f = _poly.precip(f, W)
-    inv_t = _poly.pinv_t(le.t0, W)
-    inv_t2 = _poly.pmul(inv_t, inv_t, cap=W)
-    f2 = _poly.pmul(f, f, cap=W)
-    f3 = _poly.pmul(f2, f, cap=W)
-    # each term is dt^4 times the corresponding piece of lam'' - RHS
-    return [
-        _poly.pshift(_poly.ptrim(h, W - 1), 1),
-        _poly.pscale(_poly.pshift(_poly.pmul(_poly.pmul(g, g, cap=W), inv_f, cap=W - 1), 1), -1.0),
-        _poly.pshift(_poly.pmul(g, inv_t, cap=W - 2), 2),
-        _poly.pscale(_poly.pshift(_poly.pmul(f2, inv_t2, cap=W - 2), 2), p.chi_inf),
-        _poly.pscale(_poly.pshift(_poly.pmul(f3, inv_t2, cap=W - 1), 1), -1.0),
-        _poly.pscale(_poly.pshift(inv_t, 4), -p.chi0),
-        _poly.pshift(inv_f, 5),
-    ]
-
-
 def pole_residual_order(le: LaurentExpansion, p: EquationParams, dt_grid) -> float:
     """Log-log slope of the equation residual of a truncated pole expansion.
 
-    The residual times dt^4 is expanded as a power series, and
-    ``series._residual_slope`` fits the residual's own slope (power offset -4)
-    on the genuine tail, under the same grid rules as ``residual_order``."""
+    For lam = f/dt, g = t/lam = dt*u with u = (t0 + dt)/f has a simple root
+    at t0 in the swapped equation: each term of its ``_residual_terms`` times
+    -(t0 + dt)/u^2 is a term of lam'' - F(lam) times dt^2, fitted by
+    ``_residual_slope`` as in ``residual_order``.  The residue must be
+    exactly +-t0, as at every P-III' pole, so that u(0) is exactly +-1."""
+    if abs(le.residue) != abs(le.t0):
+        raise DomainError("pole residual needs residue +-t0, as every P-III' pole has")
     W = max(43, 3 * le.valid_order + 12)
-    return _residual_slope(_laurent_residual_terms(le, p, W), W, dt_grid, -4)
+    u = _t_over(le.t0, [le.residue] + le.trusted(), W + 1)
+    factor = _poly.pscale(_t_over(le.t0, _poly.pmul(u, u, cap=W), W), -1.0)  # -(t0 + dt)/u^2
+    terms = _residual_terms([0.0] + u, le.t0, p.swapped(), W)
+    return _residual_slope([_poly.pmul(factor, term, cap=W) for term in terms], W, dt_grid, -2)

@@ -76,6 +76,8 @@ def _requirement_cases():
     # every flag is checked, whatever the command
     yield pytest.param("verify", ["--sgn", "2"], "--t0 and --sgn must be given together", id="verify-sgn-alone")
     yield pytest.param("verify", ["--t0", "1", "--sgn", "2"], "--sgn must be +1 or -1, got 2", id="verify-sgn-2")
+    # numpy's generator rejected a negative seed with a traceback
+    yield pytest.param("verify", ["--seed", "-1"], "--seed must be >= 0", id="verify-seed-negative")
     yield pytest.param("reproduce-appendix", [], None, id="reproduce-appendix")
 
 
@@ -345,6 +347,36 @@ def test_tolerance_not_finite_and_positive_exits_1(flag, value, tmp_path):
                           env=_cli_env(), timeout=60)
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.splitlines() == ["error: rel_tol and abs_tol must be finite and positive"]
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("lamdot", ["nan", "inf"])
+def test_non_finite_cauchy_data_exits_1(lamdot, tmp_path):
+    # in a fresh interpreter with a timeout, because such data used to hang the run
+    args = ["integrate", "--chi0", "-0.8", "--chiinf", "0.2", "--cauchy", f"1:1:{lamdot}", "--span", "0.5:2",
+            "--out", str(tmp_path / "x")]
+    proc = subprocess.run([sys.executable, "-m", "p3prime.cli", *args], capture_output=True, text=True,
+                          env=_cli_env(), timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.splitlines() == ["error: initial data must be finite"]
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command, t0, error",
+    [
+        ("expand-root", "1e-200", "OverflowError"),
+        ("expand-root", "1e-320", "ZeroDivisionError"),
+        ("expand-pole", "1e-200", "ZeroDivisionError"),
+        ("bounds", "1e300", "OverflowError"),
+    ],
+)
+def test_extreme_t0_exits_1(command, t0, error, tmp_path, capsys):
+    # each ended in a traceback of its arithmetic error
+    args = [command, "--t0", t0, "--sgn", "1", "--lam3", "1.5", "--chi0", "-0.8", "--chiinf", "0.2"]
+    assert run([*args, "--out", str(tmp_path / "x")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {error}: ") and len(err.splitlines()) == 1
     assert not list(tmp_path.iterdir())
 
 

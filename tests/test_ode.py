@@ -80,6 +80,26 @@ def test_tolerances_must_be_finite_and_positive(monkeypatch, solver, name, tol):
         _TOLERANCE_RUNS[solver](**{name: tol})
 
 
+_STATE_RUNS = {
+    "integrate": lambda lam0, lamdot0: integrate(P, 1.0, lam0, lamdot0, (0.5, 2.0)),
+    "integrate_hamiltonian": lambda lam0, mu0: integrate_hamiltonian(P, SignSwitch(1), 1.0, lam0, mu0, (1.0, 2.0)),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("component", [0, 1])
+@pytest.mark.parametrize("solver", list(_STATE_RUNS))
+def test_initial_data_must_be_finite(monkeypatch, solver, component, value):
+    # a NaN or infinite initial state made the first step size NaN and the
+    # kernel loop forever, as a NaN tolerance did; the stub turns stepping
+    # from such a state into a failure, not a hang
+    monkeypatch.setattr(ode, "solve_ivp", lambda *args, **kwargs: pytest.fail("stepped from non-finite data"))
+    state = [0.5, 0.3]
+    state[component] = value
+    with pytest.raises(DomainError, match="initial data must be finite"):
+        _STATE_RUNS[solver](*state)
+
+
 def test_appendix_roots_match(appendix_solution, appendix_roots):
     roots = appendix_roots
     assert len(roots) == 6

@@ -19,7 +19,8 @@ from p3prime import (
     run_scheme,
     series_reciprocal_times_t,
 )
-from p3prime import _poly
+from p3prime import _poly, acceptance
+from p3prime.equation import rhs_scalar
 from p3prime.ode import integrate
 
 A = RootAnchor(0.7, SignSwitch(1), 1.5)
@@ -82,7 +83,7 @@ def test_reciprocal_against_exact_long_division():
     n = 3
     u = coeffs[1:]
     inv_u = _poly.precip(u, n + 1)
-    e = _poly.padd(_poly.pscale(inv_u, t0), _poly.pshift(inv_u, 1))
+    e = _poly.padd(_poly.pscale(inv_u, t0), [0] + inv_u)
     lam_root = DtSeries(RootAnchor(0.75, SignSwitch(1), 0.0), [float(c) for c in coeffs], 5)
     le = series_reciprocal_times_t(lam_root)
     assert le.residue == pytest.approx(float(e[0]), rel=1e-15)
@@ -111,7 +112,7 @@ def test_involution_recovers_root_expansion():
         # inverse map: (t0 + dt)/laurent = dt*(t0 + dt)/v with v = residue + dt*regular
         n = le.valid_order + 1
         inv_v = _poly.precip([le.residue] + le.trusted(), n)
-        back = _poly.pshift(_poly.padd(_poly.pscale(inv_v, le.t0), _poly.pshift(inv_v, 1)), 1)
+        back = [0] + _poly.padd(_poly.pscale(inv_v, le.t0), [0] + inv_v)
         for k in range(n):
             assert back[k] == pytest.approx(lam_root.coeffs[k], rel=1e-12, abs=1e-12)
 
@@ -132,14 +133,52 @@ def test_free_parameter_sweeps_regular_slope_only():
     assert d1s[0] - d1s[-1] == pytest.approx(0.9 * 40.0, rel=1e-12)
 
 
+def test_swapped_residual_identity():
+    # lam = t/g: lam'' - F(lam) = -(t/g^2) (g'' - F_swapped(g)) pointwise,
+    # the identity pole_residual_order measures a pole's residual through
+    rng = np.random.default_rng(2024)
+    worst = 0.0
+    for _ in range(2000):
+        t = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 3))
+        g = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 3))
+        g1, g2, chi0, chi_inf = (float(x) for x in rng.uniform(-3, 3, 4))
+        p = EquationParams(chi0, chi_inf)
+        lam, lam1 = t / g, (g - t * g1) / g**2
+        lam2 = -t * g2 / g**2 - 2 * g1 * (g - t * g1) / g**3
+        f = rhs_scalar(t, lam, lam1, p)
+        swapped = -(t / g**2) * (g2 - rhs_scalar(t, g, g1, p.swapped()))
+        worst = max(worst, abs(lam2 - f - swapped) / max(abs(lam2), abs(f)))
+    assert worst <= 1e-13
+
+
+GRID = np.logspace(-3, -1, 25)
+
+
 def test_pole_residual_orders():
-    grid = [A.t0 * x for x in np.logspace(-3, -1, 25)]
+    grid = [A.t0 * x for x in GRID]
     s4 = pole_residual_order(pole_b5_reference(A, P), P, grid)
     assert s4 >= 2.5
     s6 = pole_residual_order(root_to_pole(A, P, 6), P, grid)
     assert s6 >= 4.5
     bare = LaurentExpansion(A.t0, A.t0, (0.0,), 0)
     assert pole_residual_order(bare, P, grid) <= -0.5
+
+
+@pytest.mark.parametrize("a, p", acceptance._draws(1729, 20))
+def test_pole_residual_orders_over_draws(a, p):
+    # criterion 7's bounds, on each of its draws; the slopes expected are 3
+    # and 5, and a power of dt lost in the swapped residual moves them by 1
+    grid = [a.t0 * x for x in GRID]
+    assert 2.5 <= pole_residual_order(pole_b5_reference(a, p), p, grid) <= 3.5
+    assert 4.5 <= pole_residual_order(root_to_pole(a, p, 6), p, grid) <= 5.5
+
+
+def test_pole_residual_needs_residue_plus_minus_t0():
+    grid = [A.t0 * x for x in GRID]
+    for residue in (0.5 * A.t0, -2.0 * A.t0, A.t0 * (1 + 1e-15)):
+        with pytest.raises(DomainError, match="residue"):
+            pole_residual_order(LaurentExpansion(A.t0, residue, (0.0, 1.0), 1), P, grid)
+    assert pole_residual_order(LaurentExpansion(A.t0, -A.t0, (0.0, 1.0), 1), P, grid) <= -0.5
 
 
 def test_laurent_eval_and_derivative():
