@@ -3,12 +3,14 @@
 Coefficient lists are indexed by power (index k holds the coefficient of
 x**k).  The helpers are scalar-type agnostic: they work for floats and for
 ``fractions.Fraction`` alike, which the test oracles rely on.  ``TruncPoly``
-wraps a list with a degree cap so that formulas can be written as plain
-arithmetic.
+wraps a list with a degree cap, and ``LazySeries`` forms a series one
+coefficient at a time, so that formulas can be written as plain arithmetic
+on either.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import repeat
 from operator import mul, truediv
 
@@ -98,27 +100,17 @@ def pinv_t(t0, n):
     return out
 
 
-class TruncPoly:
-    """Polynomial truncated after degree ``cap``: no operation forms a term
-    past it, and numbers act as constants, so a formula written as plain
-    arithmetic runs on numbers and on these alike.  All arithmetic goes
-    through the primitives ``_sum``, ``_scale`` and ``_prod``, which a
-    subclass with other coefficient storage overrides."""
+class _Arithmetic:
+    """Plain arithmetic on truncated or lazy series, numbers acting as
+    constants, so a formula written as plain arithmetic runs on numbers and
+    on these alike.  A subclass supplies ``_plus`` (a series or a number),
+    ``_times`` (a series) and ``_scaled`` (a number and ``mul`` or
+    ``truediv``), and ``sigma_avg``."""
 
-    __slots__ = ("c", "cap")
-
-    def __init__(self, c, cap: int):
-        self.c, self.cap = c[: cap + 1], cap
-
-    _sum, _prod = staticmethod(padd), staticmethod(pmul)
-
-    @staticmethod
-    def _scale(a, c, op=mul):
-        return list(map(op, a, repeat(c)))
+    __slots__ = ()
 
     def __add__(self, other):
-        b = other.c if isinstance(other, TruncPoly) else [other]
-        return type(self)(self._sum(self.c, b), self.cap)
+        return self._plus(other)
 
     __radd__ = __add__
 
@@ -132,14 +124,12 @@ class TruncPoly:
         return -self + other
 
     def __mul__(self, other):
-        if isinstance(other, TruncPoly):
-            return type(self)(self._prod(self.c, other.c, self.cap), self.cap)
-        return type(self)(self._scale(self.c, other), self.cap)
+        return self._times(other) if isinstance(other, _Arithmetic) else self._scaled(other, mul)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return type(self)(self._scale(self.c, other, truediv), self.cap)
+        return self._scaled(other, truediv)
 
     def __pow__(self, n: int):
         out = self
@@ -147,5 +137,103 @@ class TruncPoly:
             out = out * self
         return out
 
+
+class TruncPoly(_Arithmetic):
+    """Polynomial truncated after degree ``cap``: no operation forms a term
+    past it.  All arithmetic goes through the primitives ``_sum``, ``_scale``
+    and ``_prod``, which a subclass with other coefficient storage
+    overrides."""
+
+    __slots__ = ("c", "cap")
+
+    def __init__(self, c, cap: int):
+        self.c, self.cap = c[: cap + 1], cap
+
+    _sum, _prod = staticmethod(padd), staticmethod(pmul)
+
+    @staticmethod
+    def _scale(a, c, op=mul):
+        return list(map(op, a, repeat(c)))
+
+    def _plus(self, other):
+        b = other.c if isinstance(other, TruncPoly) else [other]
+        return type(self)(self._sum(self.c, b), self.cap)
+
+    def _times(self, other):
+        return type(self)(self._prod(self.c, other.c, self.cap), self.cap)
+
+    def _scaled(self, c, op):
+        return type(self)(self._scale(self.c, c, op), self.cap)
+
     def sigma_avg(self, extra: int = 0):
         return type(self)(psigma_avg(self.c, extra), self.cap)
+
+
+class LazySeries(_Arithmetic):
+    """Power series formed one coefficient at a time, on demand.
+
+    ``s[k]`` is coefficient k.  Each node of an expression (a sum, a scale,
+    a ``/`` by a number, a product, ``**`` or ``sigma_avg``) caches its
+    coefficients and forms coefficient k only when it is asked for, from
+    its operands' coefficients up to k; a formed coefficient is never
+    formed again.  A node carries a valuation ``val`` (its coefficients
+    below it are zero) and a degree ``deg`` (those above it are zero;
+    ``math.inf`` when unbounded), so coefficient k of a product sums
+    ``a_i b_(k-i)`` only where both can be nonzero: ``eta * x`` never asks
+    for ``x[k]``.  ``leaf`` reads a list that its owner extends, and asking
+    it for a coefficient past the list's end raises ``IndexError``; ``poly``
+    is a fixed polynomial.
+    """
+
+    __slots__ = ("c", "val", "deg", "_form")
+
+    def __init__(self, form, val, deg, c=None):
+        self.c = [0] * val if c is None else c
+        self.val, self.deg, self._form = val, deg, form
+
+    def __getitem__(self, k: int):
+        return self._upto(k)[k]
+
+    def _upto(self, k: int) -> list:
+        """The coefficient cache, formed up to coefficient k."""
+        c = self.c
+        while len(c) <= k:
+            c.append(self._form(len(c)))
+        return c
+
+    @staticmethod
+    def leaf(c: list) -> "LazySeries":
+        """Series reading the list ``c`` itself, which may grow later."""
+
+        def unformed(k):
+            raise IndexError(f"coefficient {k} of a leaf is not formed yet")
+
+        return LazySeries(unformed, 0, math.inf, c)
+
+    @staticmethod
+    def poly(c) -> "LazySeries":
+        """The polynomial with coefficient list ``c``."""
+        c = list(c)
+        return LazySeries(lambda k: 0, next((k for k, x in enumerate(c) if x != 0), len(c)), len(c) - 1, c)
+
+    def _plus(self, other):
+        b = other if isinstance(other, LazySeries) else LazySeries.poly([other])
+        return LazySeries(lambda k: self[k] + b[k], min(self.val, b.val), max(self.deg, b.deg))
+
+    def _times(self, b):
+        a = self
+
+        def form(k):
+            # a_i b_(k-i) over rising i, as pcoef sums; empty past the degree
+            lo, hi = max(a.val, k - b.deg), min(k - b.val, a.deg)
+            if lo > hi:
+                return 0
+            return sum(map(mul, a._upto(hi)[lo : hi + 1], b._upto(k - lo)[k - hi : k - lo + 1][::-1]))
+
+        return LazySeries(form, a.val + b.val, a.deg + b.deg)
+
+    def _scaled(self, s, op):
+        return LazySeries(lambda k: op(self[k], s), self.val, self.deg)
+
+    def sigma_avg(self, extra: int = 0):
+        return LazySeries(lambda k: self[k] / (k + extra + 1), self.val, self.deg)

@@ -248,7 +248,7 @@ def criterion_9(seed: int = DEFAULT_SEED):
     sgn = SignSwitch(-1)  # slope at the upcoming root 1.38175
     lam_a, lamdot_a = sol.state(t_a)
     mu_a = mu_from_lambda(t_a, lam_a, lamdot_a, sgn, REF_PARAMS)
-    ham = integrate_hamiltonian(REF_PARAMS, sgn, t_a, lam_a, mu_a, (t_a, t_b))
+    ham = integrate_hamiltonian(REF_PARAMS, sgn, lam_a, mu_a, (t_a, t_b))
     dev = 0.0
     for t in np.linspace(t_a, t_b, 141):
         dev = max(dev, abs(float(ham.sol(t)[0]) - sol.lam(float(t))))

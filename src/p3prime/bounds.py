@@ -57,17 +57,28 @@ class BoundSet:
 
 def _poly_sup_abs(coeffs, h: float) -> float:
     """sup |p(x)| over the closed interval [-h, h]: endpoints plus interior
-    critical points (real roots of p')."""
-    p = np.asarray(coeffs, dtype=float)
-    candidates = [-h, 0.0, h]
-    dp = np.polynomial.polynomial.polyder(p)
-    if dp.size > 1 or (dp.size == 1 and dp[0] != 0):
-        roots = np.polynomial.polynomial.polyroots(dp)
-        for r in roots:
-            if abs(r.imag) < 1e-12 and -h <= r.real <= h:
-                candidates.append(float(r.real))
-    vals = np.polynomial.polynomial.polyval(np.array(candidates), p)
-    return float(np.max(np.abs(vals)))
+    critical points (real roots of p').
+
+    The roots are the eigenvalues of the companion matrix of p' (trailing
+    zeros trimmed) that ``np.polynomial.polynomial.polyroots`` forms, and p
+    is evaluated by Horner's rule, as ``polyval`` does, so the result is
+    theirs bit for bit without loading ``numpy.polynomial``, which nothing
+    else on the ``convergence_bounds`` path needs."""
+    dp = _poly.pder(list(coeffs))
+    while len(dp) > 1 and dp[-1] == 0:
+        dp.pop()
+    n = len(dp) - 1
+    if n == 0:
+        roots = []
+    elif n == 1:
+        roots = [-dp[0] / dp[1]]
+    else:
+        m = np.zeros((n, n))
+        m.reshape(-1)[n :: n + 1] = 1
+        m[:, -1] -= np.array(dp[:-1], dtype=float) / dp[-1]
+        roots = np.linalg.eigvals(m[::-1, ::-1])
+    real = [float(r.real) for r in roots if abs(r.imag) < 1e-12 and -h <= r.real <= h]
+    return max(abs(_poly.peval(coeffs, x)) for x in [-h, 0.0, h, *real])
 
 
 def convergence_bounds(a: RootAnchor, p: EquationParams, alpha: float = 0.5) -> BoundSet:

@@ -450,16 +450,16 @@ def integrate(
 def integrate_hamiltonian(
     p: EquationParams,
     s: SignSwitch,
-    t_init: float,
     lam0: float,
     mu0: float,
     span: tuple,
     rel_tol: float = 1e-10,
     abs_tol: float = 1e-12,
 ):
-    """Plain dense integration of the coupled Hamilton system (lam, mu) for
-    one fixed sign switch, with no chart changes (mu is regular at
-    matching-sign roots), on the same ``hamilton_field`` as the mu chart of ``integrate``.
+    """Plain dense integration of the coupled Hamilton system (lam, mu) from
+    (lam0, mu0) at span[0] to span[1], for one fixed sign switch, with no
+    chart changes (mu is regular at matching-sign roots), on the same
+    ``hamilton_field`` as the mu chart of ``integrate``.
     Returns the kernel's result: ``.sol(t)`` gives (lam, mu) and
     ``.t`` the accepted steps.  Raises IntegrationError naming t if the step
     size underflows before the span end, DomainError unless both

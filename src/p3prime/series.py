@@ -10,16 +10,20 @@ alternating two integral-transform updates whose kernels are polynomial in
 eta = sigma*dt.  Each series carries a validity order: the highest dt power
 whose coefficient is trusted.  One update gains one order for mu per step as
 long as the lam input is at most three orders behind, and one order for lam
-per step as long as the mu input is not behind; four steps of each per round
-therefore gain four orders, which is the staggering used by ``run_scheme``.
+per step as long as the mu input is not behind.  A coefficient at or below
+an input's validity comes out of a step as it went in, in exact arithmetic,
+so ``run_scheme`` evaluates the scheme online: it forms each new coefficient
+of mu and then of lam once, from final ones, in O(N^2) operations for order
+N (lazy series evaluation; van der Hoeven 2002, "Relax, but don't be too
+lazy").
 
 The scheme uses only field arithmetic, so its coefficients have the type of
 the anchor and parameters: doubles in every command, exact ``Fraction``s in
 the tests' oracles.  The closed-form degree-5 reference ``lam6_reference``
 provides an independent oracle for the scheme.  ``taylor_at_root`` computes
-the same cubic-factor series from the direct Painleve-test recurrence in
-O(N^2) operations, against O(N^3) for the scheme; on ``Fraction`` inputs the
-two agree exactly.
+the same cubic-factor series from the direct Painleve-test recurrence, also
+in O(N^2) operations but with fewer of them; on ``Fraction`` inputs the two
+agree exactly.
 """
 
 from __future__ import annotations
@@ -119,8 +123,8 @@ def init_pair(a: RootAnchor, p: EquationParams) -> tuple[DtSeries, DtSeries]:
 
 # The kernels take the series at the shifted argument tau = t0 + sigma*dt.
 # A series sum_k c_k dt^k there is sum_k c_k eta^k with eta = sigma*dt, so the
-# coefficient lists go in unchanged, as _poly.TruncPoly eta-polynomials, and
-# each kernel is one formula that also evaluates pointwise on numbers.  The
+# coefficient lists go in unchanged, as _poly.LazySeries eta-series, and each
+# kernel is one formula that also evaluates pointwise on numbers.  The
 # grouping of each formula fixes the order of its floating-point operations.
 
 
@@ -157,43 +161,58 @@ def _kernel_xi(eta, lam, mu, a: RootAnchor, p: EquationParams):
     )
 
 
+def _mu_update(eta, lam, mu, a: RootAnchor, p: EquationParams):
+    """The mu update as an eta-series in the input series lam and mu."""
+    om = _kernel_mu(eta, lam, mu, a, p).sigma_avg()
+    return mu_at_root(a, p) + 1 / a.t0 * eta * (-(p.chi_inf + a.s * p.chi0 - 1) / 2 - mu + om)
+
+
+def _lambda_update(eta, lam, mu, a: RootAnchor, p: EquationParams):
+    """The lam update as an eta-series in the input series lam and mu."""
+    om = _kernel_lambda(eta, lam, mu, a, p).sigma_avg(2)
+    return -1 / a.t0 * eta * lam + 1 / a.t0 * om
+
+
+def _leaves(lam: list, mu: list):
+    """eta and lazy leaves reading the coefficient lists lam and mu."""
+    return _poly.LazySeries.poly([0, 1]), _poly.LazySeries.leaf(lam), _poly.LazySeries.leaf(mu)
+
+
 def step_mu(lam_in: DtSeries, mu_in: DtSeries, a: RootAnchor, p: EquationParams) -> DtSeries:
     """One mu update; output validity min(order(mu_in)+1, order(lam_in)+4)."""
     _require_same_anchor(lam_in, mu_in)
     v = min(mu_in.valid_order + 1, lam_in.valid_order + 4)
-    eta, lam, mu = (_poly.TruncPoly(c, v) for c in ([0, 1], lam_in.trusted(), mu_in.trusted()))
-    om = _kernel_mu(eta, lam, mu, a, p).sigma_avg()
-    out = mu_at_root(a, p) + 1 / a.t0 * eta * (-(p.chi_inf + a.s * p.chi0 - 1) / 2 - mu + om)
-    return DtSeries(a, out.c, v)
+    out = _mu_update(*_leaves(lam_in.trusted(), mu_in.trusted()), a, p)
+    return DtSeries(a, [out[k] for k in range(v + 1)], v)
 
 
 def step_lambda(lam_in: DtSeries, mu_in: DtSeries, a: RootAnchor, p: EquationParams) -> DtSeries:
     """One lam update; output validity min(order(lam_in)+1, order(mu_in))."""
     _require_same_anchor(lam_in, mu_in)
     v = min(lam_in.valid_order + 1, mu_in.valid_order)
-    eta, lam, mu = (_poly.TruncPoly(c, v) for c in ([0, 1], lam_in.trusted(), mu_in.trusted()))
-    om = _kernel_lambda(eta, lam, mu, a, p).sigma_avg(2)
-    return DtSeries(a, (-1 / a.t0 * eta * lam + 1 / a.t0 * om).c, v)
+    out = _lambda_update(*_leaves(lam_in.trusted(), mu_in.trusted()), a, p)
+    return DtSeries(a, [out[k] for k in range(v + 1)], v)
 
 
 def run_scheme(a: RootAnchor, p: EquationParams, target_order: int) -> tuple[DtSeries, DtSeries]:
-    """Iterate macro-rounds of four mu steps then four lam steps until the
-    cubic-factor series is valid to ``target_order``; returns both series
-    truncated to that validity.  Deterministic; each round gains 4 orders.
+    """Both series valid to ``target_order``, evaluated online: the two
+    updates are built once, on leaves reading the growing coefficient lists,
+    and for k = 1, 2, ... coefficient k of the mu update is appended to mu,
+    then coefficient k of the lam update to lam.  Each coefficient is formed
+    once, from coefficients that are already final, so order N costs
+    O(N^2).  Deterministic, and a lower order's result is a prefix of a
+    higher one's, bit for bit.
     """
     if target_order < 0:
         raise ValueError("target_order must be >= 0")
-    lam, mu = init_pair(a, p)
-    lam, mu = lam.truncated(0), mu.truncated(0)
-    while lam.valid_order < target_order:
-        mus = [mu]
-        for _ in range(4):
-            mus.append(step_mu(lam, mus[-1], a, p))
-        lams = [lam]
-        for i in range(4):
-            lams.append(step_lambda(lams[-1], mus[i + 1], a, p))
-        lam, mu = lams[4], mus[4]
-    return lam.truncated(target_order), mu.truncated(target_order)
+    lam1, mu1 = init_pair(a, p)
+    lam, mu = [lam1.coeffs[0]], [mu1.coeffs[0]]
+    leaves = _leaves(lam, mu)
+    mu_next, lam_next = _mu_update(*leaves, a, p), _lambda_update(*leaves, a, p)
+    for k in range(1, target_order + 1):
+        mu.append(mu_next[k])  # uses mu[..k-1] and lam[..k-4]
+        lam.append(lam_next[k])  # uses mu[..k] and lam[..k-1]
+    return DtSeries(a, lam, target_order), DtSeries(a, mu, target_order)
 
 
 def taylor_at_root(a: RootAnchor, p: EquationParams, target_order: int) -> DtSeries:
@@ -210,7 +229,7 @@ def taylor_at_root(a: RootAnchor, p: EquationParams, target_order: int) -> DtSer
     which is why lam3 = c_3 is free; for m >= 3 each c_{m+1} follows from the
     lower ones.  The products lam^2, lam lam'' - lam'^2 and lam lam' are
     cached once their coefficients are final, so order N costs O(N^2)
-    operations.  Only field arithmetic is used, so exact ``Fraction`` anchors
+    operations, as ``run_scheme`` does, with fewer products per order.  Only field arithmetic is used, so exact ``Fraction`` anchors
     and parameters give the exact series, equal to ``run_scheme``'s.
     """
     if target_order < 0:

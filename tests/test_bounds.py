@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from p3prime import (
     DomainError,
@@ -12,6 +14,7 @@ from p3prime import (
     series_eval,
 )
 from p3prime.bounds import (
+    _poly_sup_abs,
     algorithm_increments,
     convergence_bounds,
     d_omega_mu_lambda,
@@ -23,6 +26,26 @@ from p3prime.series import _kernel_mu, _kernel_xi
 
 A = RootAnchor(0.511115, SignSwitch(1), -9.01149)
 P = EquationParams(-0.811597, -0.0550042)
+
+
+def _sup_with_numpy_polynomial(coeffs, h):
+    p = np.asarray(coeffs, dtype=float)
+    candidates = [-h, 0.0, h]
+    dp = np.polynomial.polynomial.polyder(p)
+    if dp.size > 1 or (dp.size == 1 and dp[0] != 0):
+        for r in np.polynomial.polynomial.polyroots(dp):
+            if abs(r.imag) < 1e-12 and -h <= r.real <= h:
+                candidates.append(float(r.real))
+    return float(np.max(np.abs(np.polynomial.polynomial.polyval(np.array(candidates), p))))
+
+
+@given(
+    st.lists(st.one_of(st.just(0.0), st.floats(-1e3, 1e3)), min_size=1, max_size=7),
+    st.floats(1e-3, 10.0),
+)
+def test_poly_sup_abs_is_numpy_polynomials_bit_for_bit(coeffs, h):
+    # the formula convergence_bounds used on numpy.polynomial, kept as the reference
+    assert _poly_sup_abs(coeffs, h).hex() == _sup_with_numpy_polynomial(coeffs, h).hex()
 
 
 def test_boundset_invariants():

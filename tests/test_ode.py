@@ -59,7 +59,7 @@ def test_input_validation():
 
 _TOLERANCE_RUNS = {
     "integrate": lambda **tol: integrate(P, 1.0, 0.5, 0.0, (0.5, 2.0), **tol),
-    "integrate_hamiltonian": lambda **tol: integrate_hamiltonian(P, SignSwitch(1), 1.0, 0.5, 0.3, (1.0, 2.0), **tol),
+    "integrate_hamiltonian": lambda **tol: integrate_hamiltonian(P, SignSwitch(1), 0.5, 0.3, (1.0, 2.0), **tol),
 }
 _TOLERANCE_CASES = [(solver, name) for solver in _TOLERANCE_RUNS for name in ("rel_tol", "abs_tol")]
 
@@ -82,7 +82,7 @@ def test_tolerances_must_be_finite_and_positive(monkeypatch, solver, name, tol):
 
 _STATE_RUNS = {
     "integrate": lambda lam0, lamdot0: integrate(P, 1.0, lam0, lamdot0, (0.5, 2.0)),
-    "integrate_hamiltonian": lambda lam0, mu0: integrate_hamiltonian(P, SignSwitch(1), 1.0, lam0, mu0, (1.0, 2.0)),
+    "integrate_hamiltonian": lambda lam0, mu0: integrate_hamiltonian(P, SignSwitch(1), lam0, mu0, (1.0, 2.0)),
 }
 
 
@@ -250,7 +250,7 @@ def test_hamiltonian_step_size_underflow_raises(monkeypatch):
     # y' = y^2, y(0) = 1 blows up at t = 1 (the run stops at 1.0000000000119)
     monkeypatch.setattr(ode, "hamilton_field", lambda p, s: lambda t, y: (y[0] ** 2, 0.0))
     with pytest.raises(IntegrationError) as exc_info:
-        integrate_hamiltonian(P, SignSwitch(1), 0.0, 1.0, 0.0, (0.0, 2.0))
+        integrate_hamiltonian(P, SignSwitch(1), 1.0, 0.0, (0.0, 2.0))
     assert abs(_failure_time(exc_info, "Hamiltonian integration failed") - 1.0) < 1e-9
 
 
@@ -492,7 +492,7 @@ def test_hamiltonian_integration_matches_scalar(appendix_solution):
     sgn = SignSwitch(-1)  # slope of the next root to the right
     lam_a, lamdot_a = sol.state(t_a)
     mu_a = mu_from_lambda(t_a, lam_a, lamdot_a, sgn, P)
-    ham = integrate_hamiltonian(P, sgn, t_a, lam_a, mu_a, (t_a, t_b))
+    ham = integrate_hamiltonian(P, sgn, lam_a, mu_a, (t_a, t_b))
     dev = max(abs(float(ham.sol(t)[0]) - sol.lam(float(t))) for t in np.linspace(t_a, t_b, 61))
     assert dev <= 1e-6
 

@@ -9,7 +9,7 @@ import pytest
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-@pytest.mark.parametrize("name", ["residual_orders", "decay_experiment"])
+@pytest.mark.parametrize("name", ["residual_orders", "decay_experiment", "scheme_orders"])
 def test_script_main_returns_zero(name, monkeypatch, capsys):
     path = SCRIPTS / f"{name}.py"
     spec = importlib.util.spec_from_file_location(f"scripts_{name}", path)

@@ -29,7 +29,7 @@ from p3prime import (
     taylor_at_root,
 )
 from p3prime import _poly, acceptance
-from p3prime.series import _kernel_lambda, _kernel_mu, _kernel_xi, _require_same_anchor, lam3_from_mu
+from p3prime.series import _kernel_lambda, _kernel_mu, _kernel_xi, _leaves, _require_same_anchor, lam3_from_mu
 
 
 def step_lambda_refined(lam_in, mu_in, a, p):
@@ -42,11 +42,11 @@ def step_lambda_refined(lam_in, mu_in, a, p):
     _require_same_anchor(lam_in, mu_in)
     sg, t0 = a.s, a.t0
     v = min(lam_in.valid_order + 1, mu_in.valid_order)
-    eta, lam, mu = (_poly.TruncPoly(c, v) for c in ([0, 1], lam_in.trusted(), mu_in.trusted()))
+    eta, lam, mu = _leaves(lam_in.trusted(), mu_in.trusted())
     om = 2 * _kernel_mu(eta, lam, mu, a, p).sigma_avg() + _kernel_xi(eta, lam, mu, a, p).sigma_avg(3)
     inner = (p.chi_inf + sg * p.chi0 - 1) / (4 * t0) + lam - 1 / (3 * t0) * om
     out = a.lam3 - 1 / t0 * eta * inner
-    return DtSeries(a, out.c, v)
+    return DtSeries(a, [out[k] for k in range(v + 1)], v)
 
 
 A = RootAnchor(0.9, SignSwitch(1), 1.3)
@@ -114,10 +114,10 @@ def nonzero_terms(q):
 
 
 def on_eta(kernel, lam, mu, cap=12):
-    """A kernel's eta-polynomial for coefficient lists lam and mu; the cap
-    lies past every product's degree here, so nothing is dropped."""
-    eta, lam, mu = (_poly.TruncPoly(c, cap) for c in ([0, 1], lam, mu))
-    return kernel(eta, lam, mu, A, P).c
+    """A kernel's eta-polynomial for the polynomials lam and mu, coefficients
+    0..cap; cap lies past its degree here, so nothing is dropped."""
+    q = kernel(*map(_poly.LazySeries.poly, ([0, 1], lam, mu)), A, P)
+    return [q[k] for k in range(cap + 1)]
 
 
 def test_kernel_omega_mu_vanishes_without_mu():
@@ -236,6 +236,41 @@ def test_truncpoly_keeps_every_coefficient_up_to_its_cap_bit_for_bit(expr, cap):
     # term at or below it: the same expression on plain coefficient lists,
     # truncated afterwards, gives the same coefficients, repr for repr
     assert repr(_poly.ptrim(_capped(expr, cap).c, cap)) == repr(_poly.ptrim(_uncapped(expr), cap))
+
+
+def _lazy(e):
+    if e[0] == "leaf":
+        return _poly.LazySeries.poly(e[1])
+    if e[0] == "**":
+        return _lazy(e[1]) ** e[2]
+    x, y = _lazy(e[1]), _lazy(e[2])
+    return x + y if e[0] == "+" else x - y if e[0] == "-" else x * y
+
+
+@given(
+    st.one_of(_expressions(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=5)), _expressions(_fractions)),
+    st.integers(0, 8),
+)
+def test_lazy_series_forms_the_plain_coefficients(expr, n):
+    # coefficients asked for from the highest down are those of the same
+    # expression on plain coefficient lists, zero past its degree.  They are
+    # the same sums in the same order, except that a lazy product also adds
+    # the exact zeros a_i*b_j with a_i == 0, which pmul skips; that can only
+    # change the sign of a zero, so the values are compared with ==
+    got = _lazy(expr)
+    assert [got[k] for k in range(n, -1, -1)][::-1] == _poly.ptrim(_uncapped(expr), n)
+
+
+def test_lazy_leaf_raises_past_the_formed_coefficients():
+    c = [1.0, 2.0]
+    leaf = _poly.LazySeries.leaf(c)
+    x = _poly.LazySeries.poly([0, 1]) * leaf + leaf
+    assert (x[0], x[1]) == (1.0, 3.0)
+    for s in (leaf, x):
+        with pytest.raises(IndexError):
+            s[2]
+    c.append(4.0)  # the owner forms the next coefficient; x's caches still hold
+    assert x[2] == 6.0
 
 
 def test_step_mu_from_zero_reproduces_starting_polynomial():
@@ -482,7 +517,7 @@ def test_taylor_at_root_matches_closed_form_reference():
 def test_taylor_at_root_float_run_tracks_exact_run():
     # the same recurrence on Fractions is exact for the given float anchor.
     # The float run's worst scaled error at order 40 measured 3.1e-7, and
-    # 1.0e-7 after a change in summation order (run_scheme: 5.4e-3); the
+    # 1.0e-7 after a change in summation order (run_scheme: 7.5e-3); the
     # tolerance was fixed at 1e-6 from the first measurement
     exact = taylor_at_root(
         RootAnchor(F(APX_A.t0), APX_A.sgn, F(APX_A.lam3)), EquationParams(F(APX_P.chi0), F(APX_P.chi_inf)), 40
@@ -496,6 +531,22 @@ def test_taylor_at_root_prefix_is_bit_identical():
         high = taylor_at_root(a, p, 40)
         for k in (0, 1, 5, 17, 39):
             assert high.truncated(k) == taylor_at_root(a, p, k)
+
+
+def test_run_scheme_prefix_is_bit_identical():
+    # each coefficient is formed once, from final ones, so a lower order's
+    # series are a prefix of a higher order's, bit for bit
+    for a, p in random_cases(4):
+        lam3, mu = run_scheme(a, p, 40)
+        for k in (0, 1, 5, 17, 39):
+            assert (lam3.truncated(k), mu.truncated(k)) == run_scheme(a, p, k)
+
+
+def test_run_scheme_keeps_the_root_values_exactly():
+    for a, p in random_cases():
+        lam3, mu = run_scheme(a, p, 8)
+        assert lam3.coeffs[0] == a.lam3
+        assert mu.coeffs[0] == mu_at_root(a, p)
 
 
 def test_taylor_at_root_rejects_negative_order():
@@ -520,7 +571,7 @@ def test_taylor_at_root_rejects_negative_order():
 )
 def test_run_scheme_matches_recurrence_past_degree_5(order):
     # coefficient k is compared as its term's size at |dt| = |t0|; the worst
-    # measured errors are 4.2e-8 at order 20 and 17.5 at order 40
+    # measured errors are 1.4e-7 at order 20 and 17.5 at order 40
     worst = 0.0
     for a, p in random_cases():
         got = run_scheme(a, p, order)[0].coeffs
@@ -544,7 +595,7 @@ def test_run_scheme_matches_recurrence_past_degree_5(order):
 def test_run_scheme_is_the_recurrence_in_exact_arithmetic(anchor, params):
     # on Fraction anchors and parameters both constructions are exact and give
     # the same series, so the float gap of the order-40 xfail is rounding alone
-    for order in (5, 12, 20):
+    for order in (5, 12, 20, 40):
         got = run_scheme(anchor, params, order)[0].coeffs
         assert all(isinstance(c, F) for c in got)
         assert got == taylor_at_root(anchor, params, order).coeffs
